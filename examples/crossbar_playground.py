@@ -11,7 +11,7 @@ Run:  python examples/crossbar_playground.py
 
 import numpy as np
 
-from repro.events import EventLog
+from repro.obs.hw import HwMonitor
 from repro.xbar import EdgeCam, FixedPointFormat, MacCrossbar
 
 # Figure 7(a): (src, dst, weight) triples of the example graph.
@@ -22,15 +22,15 @@ EDGES = [
 
 
 def main() -> None:
-    events = EventLog()
+    board = HwMonitor()  # per-array counter board the pair charges
     src = np.array([e[0] for e in EDGES])
     dst = np.array([e[1] for e in EDGES])
     weights = np.array([e[2] for e in EDGES])
 
     print("Loading Figure 7's edges into a CAM/MAC crossbar pair...")
-    cam = EdgeCam(rows=16, vertex_bits=8, events=events)
+    cam = EdgeCam(rows=16, vertex_bits=8, hw=board)
     cam.load_edges(src, dst)
-    mac = MacCrossbar(rows=16, cols=2, events=events)
+    mac = MacCrossbar(rows=16, cols=2, hw=board)
     mac.write(np.arange(len(EDGES)), np.zeros(len(EDGES), dtype=int), weights)
 
     print("\nKernel: sum the weights of all edges arriving at vertex 2.")
@@ -55,6 +55,7 @@ def main() -> None:
     print(f"  quantized MAC result: {q_total[0]:.4f}")
 
     print("\nHardware events charged so far:")
+    events = board.events()
     for name, value in events.as_dict().items():
         if value:
             print(f"  {name:<20} {value:>8}")

@@ -8,6 +8,11 @@ tile, and BFS/SSSP stream each tile's rows one MAC at a time — the
 exact cost structure :class:`GraphREngine` accounts vectorized. The
 test suite asserts the two produce identical event logs and identical
 results on small graphs.
+
+The tiles count their array events on one per-run counter board
+(:class:`~repro.obs.hw.HwMonitor`); a run's :class:`EventLog` is the
+board's column sums plus the run's own storage, SFU and buffer
+counts.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from ...config import GraphRConfig
 from ...errors import AlgorithmError
 from ...events import EventLog
 from ...graphs.graph import Graph
+from ...obs.hw import HwMonitor
 from ...xbar.mac_array import MacCrossbar
 from .engine import COORD_BITS_PER_EDGE
 from .tiles import TileLayout, build_tile_layout
@@ -32,7 +38,7 @@ class _DenseTile:
         self,
         layout: TileLayout,
         position: int,
-        events: EventLog,
+        board: HwMonitor,
     ) -> None:
         config = layout.config
         t = config.tile_size
@@ -44,7 +50,7 @@ class _DenseTile:
         self.dst = layout.dst[lo:hi]
         self.weight = layout.weight[lo:hi]
         self.mac = MacCrossbar(
-            rows=t, cols=t, accumulate_limit=t, events=events,
+            rows=t, cols=t, accumulate_limit=t, hw=board,
             cell_bits=config.cell_bits,
         )
 
@@ -78,9 +84,9 @@ class MicroGraphR:
         events.cell_writes += edges * self.config.bit_slices
         events.row_writes += edges
 
-    def _build_tiles(self, events: EventLog) -> List[_DenseTile]:
+    def _build_tiles(self, board: HwMonitor) -> List[_DenseTile]:
         return [
-            _DenseTile(self.layout, pos, events)
+            _DenseTile(self.layout, pos, board)
             for pos in range(self.layout.num_tiles)
         ]
 
@@ -94,7 +100,8 @@ class MicroGraphR:
         self._account_storage(events)
         out_deg = self.graph.out_degrees().astype(np.float64)
         inv = np.divide(1.0, out_deg, out=np.zeros(n), where=out_deg > 0)
-        tiles = self._build_tiles(events)
+        board = HwMonitor()
+        tiles = self._build_tiles(board)
         t = self.config.tile_size
         ranks = np.ones(n)
         for _ in range(iterations):
@@ -113,7 +120,7 @@ class MicroGraphR:
             ranks = (1.0 - alpha) + alpha * contrib
             events.sfu_ops += 2 * n
             events.buffer_writes += n
-        return ranks, events
+        return ranks, events.merge(board.events())
 
     # ------------------------------------------------------------------
     def _traversal(
@@ -124,7 +131,8 @@ class MicroGraphR:
             raise AlgorithmError(f"source {source} out of range [0, {n})")
         events = EventLog()
         self._account_storage(events)
-        tiles = self._build_tiles(events)
+        board = HwMonitor()
+        tiles = self._build_tiles(board)
         t = self.config.tile_size
         dist = np.full(n, np.inf)
         dist[source] = 0.0
@@ -164,7 +172,7 @@ class MicroGraphR:
             events.buffer_writes += int(improved.sum())
             dist = new_dist
             active = improved
-        return dist, events
+        return dist, events.merge(board.events())
 
     def bfs(self, source: int) -> Tuple[np.ndarray, EventLog]:
         """Breadth-first search."""

@@ -456,7 +456,7 @@ def _run_hw_report(args: argparse.Namespace) -> int:
             f"graph"
         )
     config = ArchConfig()
-    monitor = HwMonitor(config.mac_accumulate_limit)
+    monitor = HwMonitor()
     engine = MicroGaaSX(graph, config=config, hw=monitor)
     if args.algorithm == "pagerank":
         _, events = engine.pagerank(iterations=args.iterations)

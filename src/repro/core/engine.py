@@ -115,35 +115,6 @@ def chunk_histogram(hits: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarra
     return ops, hist
 
 
-def segmented_min(
-    targets: np.ndarray,
-    values: np.ndarray,
-    rank: np.ndarray,
-    edges: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-target minimum of ``values`` over an edge subset.
-
-    ``targets`` maps every layout edge to the vertex it delivers to,
-    ``values[i]`` is the candidate carried by ``edges[i]``, and
-    ``rank`` is the layout's precomputed target-sorted rank
-    (:meth:`~repro.core.loader.CrossbarLayout.sort_rank`) — sorting the
-    subset by rank clusters equal targets without re-sorting vertex
-    ids. Returns ``(touched_vertices, per_vertex_min)``, both sized by
-    the number of *distinct* touched vertices (ascending). Cost is
-    O(|edges| log |edges|), independent of the graph size — the
-    frontier-sparse replacement for an O(num_vertices)
-    ``np.minimum.at`` scatter.
-    """
-    order = np.argsort(rank[edges])
-    tgt = targets[edges[order]]
-    vals = values[order]
-    head = np.empty(tgt.size, dtype=bool)
-    head[0] = True
-    head[1:] = tgt[1:] != tgt[:-1]
-    starts = np.flatnonzero(head)
-    return tgt[starts], np.minimum.reduceat(vals, starts)
-
-
 def unique_vertices(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Sorted unique vertex ids, sized to the input, not the graph.
 

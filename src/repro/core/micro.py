@@ -13,6 +13,12 @@ edge. It is orders of magnitude slower than
   the golden references. The test suite asserts both.
 * **Exposition** — its control flow is a direct transcription of the
   paper's Figures 7 and 9.
+
+Array events are counted once, on a per-array counter board
+(:class:`~repro.obs.hw.HwMonitor`) every crossbar charges. A run's
+:class:`EventLog` is the board's delta over the run plus the run's own
+SFU and buffer counts — the scalar pipeline and SRAM buffers are
+shared units, not arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from ..errors import AlgorithmError
 from ..events import EventLog
 from ..graphs.graph import Graph
 from ..graphs.partition import partition_graph
+from ..obs.hw import HwMonitor
 from ..xbar.cam_array import CamBank, EdgeCam, pack_edge_keys
 from ..xbar.cells import FixedPointFormat
 from ..xbar.mac_array import MacBank, MacCrossbar
@@ -48,12 +55,10 @@ class _CrossbarPair:
         src: np.ndarray,
         dst: np.ndarray,
         weight: np.ndarray,
-        events: EventLog,
+        board: HwMonitor,
         load_weights: bool,
         search_field: str = "src",
         exact: bool = True,
-        hw=None,
-        index: int = 0,
         packed=None,
     ) -> None:
         # Each CAM field spans half the 128-bit row, matching the
@@ -61,7 +66,7 @@ class _CrossbarPair:
         self.cam = EdgeCam(
             rows=config.cam_rows,
             vertex_bits=config.cam_width_bits // 2,
-            events=events,
+            hw=board,
         )
         self.mac = MacCrossbar(
             rows=config.mac_rows,
@@ -73,14 +78,8 @@ class _CrossbarPair:
             accumulate_limit=config.mac_accumulate_limit,
             adc_bits=config.adc_bits,
             exact=exact,
-            events=events,
+            hw=board,
         )
-        # Attach per-array counter handles *before* loading: the edge
-        # and weight writes below are events, and attribution must see
-        # them or the counter-vs-EventLog parity check fails.
-        if hw is not None:
-            self.cam.cam.hw = hw.register("cam", index)
-            self.mac.hw = hw.register("mac", index)
         self.src = src
         self.dst = dst
         self.weight = weight
@@ -130,11 +129,13 @@ class MicroGaaSX:
         instead of exact float arithmetic; results then carry bounded
         quantization error instead of matching references exactly.
 
-        ``hw`` takes an :class:`repro.obs.hw.HwMonitor`: every crossbar
-        pair registers a ``cam``/``mac`` array slot on it and the
-        algorithms close one timeline bin per superstep. A monitor
-        accumulates, while each run gets a fresh :class:`EventLog` —
-        so use one monitor per run to keep the parity check meaningful.
+        ``hw`` takes the :class:`repro.obs.hw.HwMonitor` the crossbars
+        count on: every crossbar pair registers a ``cam``/``mac`` array
+        slot on it and the algorithms close one timeline bin per
+        superstep on it. Without one, each run counts on a private
+        board and records no timeline.
+        Either way a run's :class:`EventLog` holds that run's events
+        only.
 
         ``reuse`` overrides the cross-superstep memo layer
         (:mod:`repro.core.reuse`) for this engine; ``None`` follows the
@@ -159,10 +160,14 @@ class MicroGaaSX:
             self.graph, self.interval_size, order, self.config
         )
 
+    def _board(self) -> HwMonitor:
+        """The board a run's crossbars count on."""
+        return self.hw if self.hw is not None else HwMonitor()
+
     def _build(
         self,
         order: str,
-        events: EventLog,
+        board: HwMonitor,
         load_weights: bool,
         search_field: str,
     ) -> Tuple[CrossbarLayout, list]:
@@ -198,12 +203,10 @@ class MicroGaaSX:
                     src,
                     dst,
                     layout.weight[sel],
-                    events,
+                    board,
                     load_weights,
                     search_field=search_field,
                     exact=not self.quantized,
-                    hw=self.hw,
-                    index=x,
                     packed=packed,
                 )
             )
@@ -215,11 +218,13 @@ class MicroGaaSX:
     ) -> Tuple[np.ndarray, EventLog]:
         """PageRank driven search-by-search (Figure 9c)."""
         n = self.graph.num_vertices
+        board = self._board()
+        since = board.snapshot()
         events = EventLog()
         out_deg = self.graph.out_degrees().astype(np.float64)
         inv = np.divide(1.0, out_deg, out=np.zeros(n), where=out_deg > 0)
         layout, pairs = self._build(
-            "col", events, load_weights=False, search_field="dst"
+            "col", board, load_weights=False, search_field="dst"
         )
         # MAC column 0 holds 1/OutDeg(src) per edge row (counted as the
         # per-edge attribute write, like the engine's loader).
@@ -266,7 +271,7 @@ class MicroGaaSX:
             events.buffer_writes += n
             if self.hw is not None:
                 self.hw.end_step()
-        return ranks, events
+        return ranks, events.merge(board.events(since))
 
     # ------------------------------------------------------------------
     def _traversal(
@@ -275,9 +280,11 @@ class MicroGaaSX:
         n = self.graph.num_vertices
         if not 0 <= source < n:
             raise AlgorithmError(f"source {source} out of range [0, {n})")
+        board = self._board()
+        since = board.snapshot()
         events = EventLog()
         _layout, pairs = self._build(
-            "row", events, load_weights=weighted, search_field="src"
+            "row", board, load_weights=weighted, search_field="src"
         )
         # Gang the loaded pairs: the hardware searches every crossbar
         # in parallel, so one bank call per superstep resolves all the
@@ -353,7 +360,7 @@ class MicroGaaSX:
             active = improved_any
             if self.hw is not None:
                 self.hw.end_step()
-        return dist, events
+        return dist, events.merge(board.events(since))
 
     def bfs(self, source: int) -> Tuple[np.ndarray, EventLog]:
         """Breadth-first search hop distances."""

@@ -15,7 +15,7 @@ array-level simulator count *exactly* the same events on small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,20 +106,8 @@ class EventLog:
     # ------------------------------------------------------------------
     def merge(self, other: "EventLog") -> "EventLog":
         """Accumulate ``other`` into this log (returns self)."""
-        self.cam_searches += other.cam_searches
-        self.mac_ops += other.mac_ops
-        self.mac_rows_accumulated += other.mac_rows_accumulated
-        self.mac_cell_ops += other.mac_cell_ops
-        self.cell_writes += other.cell_writes
-        self.row_writes += other.row_writes
-        self.cam_cell_writes += other.cam_cell_writes
-        self.cam_row_writes += other.cam_row_writes
-        self.adc_conversions += other.adc_conversions
-        self.adc_saturations += other.adc_saturations
-        self.dac_conversions += other.dac_conversions
-        self.sfu_ops += other.sfu_ops
-        self.buffer_reads += other.buffer_reads
-        self.buffer_writes += other.buffer_writes
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self._grow_hist(other.mac_rows_hist.size)
         self.mac_rows_hist[: other.mac_rows_hist.size] += other.mac_rows_hist
         return self
@@ -195,34 +183,31 @@ class EventLog:
 
     def as_dict(self) -> dict:
         """Scalar counters as a plain dict (histogram excluded)."""
-        return {
-            "cam_searches": self.cam_searches,
-            "mac_ops": self.mac_ops,
-            "mac_rows_accumulated": self.mac_rows_accumulated,
-            "mac_cell_ops": self.mac_cell_ops,
-            "cell_writes": self.cell_writes,
-            "row_writes": self.row_writes,
-            "cam_cell_writes": self.cam_cell_writes,
-            "cam_row_writes": self.cam_row_writes,
-            "adc_conversions": self.adc_conversions,
-            "adc_saturations": self.adc_saturations,
-            "dac_conversions": self.dac_conversions,
-            "sfu_ops": self.sfu_ops,
-            "buffer_reads": self.buffer_reads,
-            "buffer_writes": self.buffer_writes,
-        }
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def counters_equal(self, other: "EventLog") -> bool:
         """True when all scalar counters and histograms agree."""
-        if self.as_dict() != other.as_dict():
-            return False
-        size = max(self.mac_rows_hist.size, other.mac_rows_hist.size)
-        a = np.zeros(size, dtype=np.int64)
-        b = np.zeros(size, dtype=np.int64)
-        a[: self.mac_rows_hist.size] = self.mac_rows_hist
-        b[: other.mac_rows_hist.size] = other.mac_rows_hist
-        return bool(np.array_equal(a, b))
+        return self.as_dict() == other.as_dict() and hists_equal(
+            self.mac_rows_hist, other.mac_rows_hist
+        )
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
-        return f"EventLog({fields})"
+        parts = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
+        return f"EventLog({parts})"
+
+
+#: The scalar counter names, in declaration order (the histogram is
+#: handled separately by every method that walks the counters).
+COUNTERS = tuple(
+    f.name for f in fields(EventLog) if f.name != "mac_rows_hist"
+)
+
+
+def hists_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two rows histograms agree once zero-padded to one width."""
+    size = max(a.size, b.size)
+    return bool(
+        np.array_equal(
+            np.pad(a, (0, size - a.size)), np.pad(b, (0, size - b.size))
+        )
+    )

@@ -59,7 +59,6 @@ from .export import render_openmetrics, write_openmetrics
 from .flight import FlightRecorder
 from .hw import (
     HW_COUNTERS,
-    ArrayCounters,
     HwMonitor,
     build_report,
     check_parity,
@@ -107,7 +106,6 @@ __all__ = [
     "get_logger",
     "set_level",
     "HW_COUNTERS",
-    "ArrayCounters",
     "HwMonitor",
     "build_report",
     "check_parity",

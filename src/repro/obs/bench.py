@@ -337,11 +337,10 @@ def _hw_pagerank_workload() -> Workload:
         return rmat(256, 2000, seed=5, name="hw-bench")
 
     def run(graph):
-        from ..config import ArchConfig
         from ..core.micro import MicroGaaSX
         from .hw import HwMonitor
 
-        monitor = HwMonitor(ArchConfig().mac_accumulate_limit)
+        monitor = HwMonitor()
         _ranks, events = MicroGaaSX(graph, hw=monitor).pagerank(
             iterations=2
         )

@@ -4,22 +4,30 @@
 kind, which is exactly right for validating engines against each other
 — and exactly wrong for asking *which* crossbar was hot, which arrays
 sat idle through a superstep, and where ADC saturation concentrated.
-This module adds that second axis: an :class:`HwMonitor` is a counter
-board with one slot per physical array; the array models
-(:mod:`repro.xbar`) mirror every event-log increment into their slot
-when a handle is attached, so per-array counters sum back to the global
-totals *by construction* (:func:`check_parity` proves it per run).
+An :class:`HwMonitor` answers those questions: it is a dense counter
+board, one row per physical array and one column per
+:data:`HW_COUNTERS` event kind, plus a per-array histogram of rows
+engaged per MAC operation.
+
+The board is the **only** place array events are counted. Every array
+model in :mod:`repro.xbar` owns a slot on a board (a private one-slot
+board when it is built without one) and charges its events to that
+row and nothing else. An array's ``events`` — and each
+:class:`~repro.core.micro.MicroGaaSX` run's array-side
+:class:`~repro.events.EventLog` — is read back off the board as column
+sums, so per-array counters sum to the global totals by construction;
+:func:`check_parity` states the identity for a report.
 
 Design constraints, in order:
 
-* **Near-zero overhead when disabled.** Arrays carry a single ``hw``
-  attribute, ``None`` by default; every instrumentation site is one
-  ``if ... is not None`` guard. No monitor, no cost.
+* **One count per event.** A MAC is chunked once, at the array's own
+  accumulation limit, by the array that runs it; the board records
+  the resulting operations as given.
 * **Vectorized attribution on the gang paths.** The
   :class:`~repro.xbar.cam_array.CamBank` /
   :class:`~repro.xbar.mac_array.MacBank` fast paths resolve a whole
-  superstep in one call; their per-member attribution is a
-  ``np.add.at`` scatter, not a Python loop per query.
+  superstep in one call; their per-member charges are ``bincount``
+  scatters onto the board, not a Python loop per query.
 * **The same event vocabulary.** Counter names are the
   :class:`~repro.events.EventLog` field names (the array-attributable
   subset in :data:`HW_COUNTERS`), so joining with the
@@ -28,8 +36,8 @@ Design constraints, in order:
 
 On top of the board sit the reporting joins: per-array occupancy
 histograms at the MAC accumulation bound (the 16-row / 6-bit-ADC limit
-of Table I), superstep-binned utilization timelines
-(:meth:`HwMonitor.end_step`, driven by
+of Table I, read from the registered MAC arrays), superstep-binned
+utilization timelines (:meth:`HwMonitor.end_step`, driven by
 :class:`~repro.core.micro.MicroGaaSX`), per-array/per-phase energy
 attribution priced with :class:`~repro.config.TechnologyParams`, and
 publication as per-bank-labelled OpenMetrics counters
@@ -39,17 +47,20 @@ array=...}``). The ``repro hw-report`` CLI renders all of it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..config import ArchConfig, TechnologyParams
 from ..errors import ConfigError
+from ..events import EventLog, hists_equal
 from .context import current_trace_id
 
 #: Array-attributable event counters, in :class:`~repro.events.EventLog`
-#: vocabulary. SFU ops and buffer accesses are deliberately absent: the
-#: scalar pipeline and SRAM buffers are shared units, not per-array
-#: hardware, so they stay global-only.
+#: vocabulary; one board column each, in this order. SFU ops and buffer
+#: accesses are deliberately absent: the scalar pipeline and SRAM
+#: buffers are shared units, not per-array hardware, so the engines
+#: count them themselves.
 HW_COUNTERS = (
     "cam_searches",
     "cam_row_writes",
@@ -64,6 +75,46 @@ HW_COUNTERS = (
     "dac_conversions",
 )
 
+_COLUMN = {name: i for i, name in enumerate(HW_COUNTERS)}
+
+#: Board columns one MAC operation charges, in :meth:`HwMonitor.
+#: record_macs` order: the op, its rows, rows x cols cell multiplies,
+#: one DAC activation per row, one ADC sample per engaged column.
+_MAC_COLUMNS = [
+    _COLUMN[name]
+    for name in (
+        "mac_ops",
+        "mac_rows_accumulated",
+        "mac_cell_ops",
+        "dac_conversions",
+        "adc_conversions",
+    )
+]
+
+#: Occupancy bound of a board with no MAC array registered (Table I).
+_DEFAULT_LIMIT = ArchConfig().mac_accumulate_limit
+
+#: Where a charge lands: one slot, or one slot per charged item.
+Slots = Union[int, np.ndarray]
+
+
+def attach(
+    hw: Optional["HwMonitor"],
+    bank: str,
+    accumulate_limit: int = 0,
+    slot: Optional[int] = None,
+) -> Tuple["HwMonitor", int]:
+    """``(board, slot)`` for a new array model in ``bank``.
+
+    ``slot`` of ``hw`` when given (a converter charging its array's
+    slot); otherwise a new slot on ``hw``, or on a private one-slot
+    board when ``hw`` is None — every array counts on some board.
+    """
+    if slot is not None:
+        return hw, slot
+    board = hw if hw is not None else HwMonitor()
+    return board, board.register(bank, accumulate_limit=accumulate_limit)
+
 #: The five-phase mapping used for per-array energy attribution —
 #: mirrors :func:`repro.core.controller.build_plan`: loading owns the
 #: programming energy, CAM search the search energy, MAC the analog
@@ -76,87 +127,35 @@ PHASE_ENERGY_CATEGORIES = {
 }
 
 
-class ArrayCounters:
-    """One array's handle onto the monitor: a slot id plus helpers.
-
-    Attached to a :class:`~repro.xbar.cam_array.CamCrossbar`,
-    :class:`~repro.xbar.mac_array.MacCrossbar`, or
-    :class:`~repro.xbar.adc.ADC` as its ``hw`` attribute; every method
-    forwards to the owning monitor with the slot pre-bound.
-    """
-
-    __slots__ = ("monitor", "slot", "bank", "index")
-
-    def __init__(
-        self, monitor: "HwMonitor", slot: int, bank: str, index: int
-    ) -> None:
-        self.monitor = monitor
-        self.slot = slot
-        self.bank = bank
-        self.index = index
-
-    def add(self, name: str, amount: int) -> None:
-        """Mirror one event-log increment into this array's slot."""
-        self.monitor._add(self.slot, name, amount)
-
-    def record_chunk(self, rows: int, cols: int) -> None:
-        """One MAC accumulation chunk: ``rows`` word lines, ``cols``
-        engaged bit lines (the per-chunk site of
-        :meth:`~repro.xbar.mac_array.MacCrossbar.mac`)."""
-        self.monitor._record_chunk(self.slot, rows, cols)
-
-    def record_batch(self, hit_counts: np.ndarray, num_cols: int) -> None:
-        """The batched-MAC site: one selective MAC per hit-count entry,
-        chunked at the accumulate limit — same totals as
-        :meth:`~repro.xbar.mac_array.MacCrossbar._record_batch_macs`."""
-        self.monitor.record_batch_many(
-            np.full(np.asarray(hit_counts).shape, self.slot, dtype=np.int64),
-            hit_counts,
-            num_cols,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayCounters({self.bank}/{self.index}, slot={self.slot})"
-
-
 class HwMonitor:
-    """A per-array hardware counter board.
+    """A dense per-array hardware counter board.
 
-    Parameters
-    ----------
-    accumulate_limit:
-        The MAC accumulation bound occupancy histograms are binned
-        against (16 rows in Table I — the 6-bit ADC sizing argument).
-        Chunk sizes larger than the bound grow the histogram rather
-        than fail, so a monitor survives non-default geometries.
+    An ``int64`` matrix of arrays x :data:`HW_COUNTERS` plus a per-array
+    rows-engaged histogram. Arrays :meth:`register` a slot and charge
+    it through :meth:`add` and :meth:`record_macs`; everything else
+    reads the board.
 
-    One monitor observes **one run**: create it, hand it to the engine
-    (``MicroGaaSX(graph, hw=monitor)``), run, then read reports. The
-    run's global :class:`~repro.events.EventLog` is the parity
-    reference (:func:`check_parity`). The monitor stamps the ambient
+    A monitor may observe any number of runs: each
+    :class:`~repro.core.micro.MicroGaaSX` run reads its own
+    :class:`~repro.events.EventLog` as the board's delta over the run
+    (:meth:`snapshot` / :meth:`events`), so reusing a monitor never
+    mixes two runs' logs. The monitor stamps the ambient
     :func:`repro.obs.context.current_trace_id` at creation so a report
     generated inside a traced request carries the request's identity.
     """
 
-    def __init__(self, accumulate_limit: int = 16) -> None:
-        if accumulate_limit < 1:
-            raise ConfigError(
-                f"accumulate_limit must be >= 1, got {accumulate_limit}"
-            )
-        self.accumulate_limit = int(accumulate_limit)
+    def __init__(self) -> None:
         self.trace_id: Optional[str] = current_trace_id()
         self._n = 0
+        self._limit = 0
         capacity = 8
         self._banks: List[str] = []
         self._indices: List[int] = []
-        self._counts: Dict[str, np.ndarray] = {
-            name: np.zeros(capacity, dtype=np.int64) for name in HW_COUNTERS
-        }
+        self._bank_sizes: Dict[str, int] = {}
+        self._counts = np.zeros((capacity, len(HW_COUNTERS)), dtype=np.int64)
         #: per-slot occupancy histogram: column r = MAC ops engaging
         #: exactly r rows.
-        self._hist = np.zeros(
-            (capacity, self.accumulate_limit + 1), dtype=np.int64
-        )
+        self._hist = np.zeros((capacity, 1), dtype=np.int64)
         #: superstep timeline: per-step per-slot operation deltas.
         self._steps: List[Dict[str, Any]] = []
         self._step_base = np.zeros(capacity, dtype=np.int64)
@@ -164,116 +163,135 @@ class HwMonitor:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, bank: str, index: Optional[int] = None) -> ArrayCounters:
-        """Allocate a slot; returns the handle to attach to the array.
+    def register(self, bank: str, accumulate_limit: int = 0) -> int:
+        """Allocate a board row for one array; returns its slot.
 
         ``bank`` labels the gang the array belongs to (``"cam"`` /
-        ``"mac"`` in the micro engine); ``index`` its position within
-        the bank (defaults to the per-bank registration order).
+        ``"mac"`` in the micro engine); the array's index within the
+        bank is its per-bank registration order. MAC arrays pass their
+        ``accumulate_limit``: the board's occupancy bound is the largest
+        one registered.
         """
-        if index is None:
-            index = sum(1 for b in self._banks if b == bank)
+        index = self._bank_sizes.get(bank, 0)
+        self._bank_sizes[bank] = index + 1
         slot = self._n
-        if slot >= self._counts[HW_COUNTERS[0]].size:
+        if slot >= self._counts.shape[0]:
             self._grow_slots()
         self._banks.append(str(bank))
         self._indices.append(int(index))
         self._n += 1
-        return ArrayCounters(self, slot, str(bank), int(index))
+        if accumulate_limit:
+            self._limit = max(self._limit, int(accumulate_limit))
+            self._grow_hist_width(self._limit + 1)
+        return slot
 
     def _grow_slots(self) -> None:
-        capacity = max(8, 2 * self._counts[HW_COUNTERS[0]].size)
-        for name, arr in self._counts.items():
-            grown = np.zeros(capacity, dtype=np.int64)
-            grown[: arr.size] = arr
-            self._counts[name] = grown
-        grown_hist = np.zeros((capacity, self._hist.shape[1]), dtype=np.int64)
-        grown_hist[: self._hist.shape[0]] = self._hist
-        self._hist = grown_hist
-        grown_base = np.zeros(capacity, dtype=np.int64)
-        grown_base[: self._step_base.size] = self._step_base
-        self._step_base = grown_base
+        capacity = 2 * self._counts.shape[0]
+        self._counts = _grown(self._counts, capacity, axis=0)
+        self._hist = _grown(self._hist, capacity, axis=0)
+        self._step_base = _grown(self._step_base, capacity, axis=0)
 
     def _grow_hist_width(self, width: int) -> None:
         if width > self._hist.shape[1]:
-            grown = np.zeros((self._hist.shape[0], width), dtype=np.int64)
-            grown[:, : self._hist.shape[1]] = self._hist
-            self._hist = grown
+            self._hist = _grown(self._hist, width, axis=1)
 
     @property
     def num_arrays(self) -> int:
         """Registered array count."""
         return self._n
 
-    # ------------------------------------------------------------------
-    # Recording (called from the array models' instrumentation sites)
-    # ------------------------------------------------------------------
-    def _add(self, slot: int, name: str, amount: int) -> None:
-        self._counts[name][slot] += amount
+    @property
+    def accumulate_limit(self) -> int:
+        """The MAC accumulation bound occupancy is binned against.
 
-    def _record_chunk(self, slot: int, rows: int, cols: int) -> None:
-        c = self._counts
-        c["mac_ops"][slot] += 1
-        c["mac_rows_accumulated"][slot] += rows
-        c["mac_cell_ops"][slot] += rows * cols
-        c["dac_conversions"][slot] += rows
-        c["adc_conversions"][slot] += cols
-        self._grow_hist_width(rows + 1)
-        self._hist[slot, rows] += 1
-
-    def add_many(self, slots: np.ndarray, name: str, amounts) -> None:
-        """Scatter-add per-query amounts onto per-query slots.
-
-        The gang-bank attribution primitive: ``slots`` may repeat
-        (several queries routed to one member) and ``amounts`` may be a
-        scalar broadcast over them.
+        The largest bound among the registered MAC arrays (16 rows in
+        Table I — the 6-bit ADC sizing argument), or Table I's 16 when
+        no MAC array is registered.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        np.add.at(
-            self._counts[name],
-            slots,
-            np.broadcast_to(
-                np.asarray(amounts, dtype=np.int64), slots.shape
-            ),
-        )
+        return self._limit or _DEFAULT_LIMIT
 
-    def record_batch_many(
-        self,
-        slots: np.ndarray,
-        hit_counts: np.ndarray,
-        num_cols: int,
+    # ------------------------------------------------------------------
+    # Charging (called by the array models)
+    # ------------------------------------------------------------------
+    def add(self, slots: Slots, name: str, amount: int) -> None:
+        """Charge ``amount`` of counter ``name`` to ``slots``.
+
+        ``slots`` is one slot, or an integer array of slots that may
+        repeat (several gang queries routed to one member): each entry
+        is charged ``amount``.
+        """
+        column = _COLUMN[name]
+        if isinstance(slots, np.ndarray):
+            n = self._n
+            self._counts[:n, column] += amount * np.bincount(
+                slots, minlength=n
+            )
+        else:
+            self._counts[slots, column] += amount
+
+    def record_macs(
+        self, slots: Slots, rows: Sequence[int], cols: int
     ) -> None:
-        """Attribute a batch of selective MACs, one per hit-count entry,
-        each running on ``slots[i]``.
+        """Charge MAC operations: op ``i`` sums ``rows[i]`` word lines
+        over ``cols`` engaged bit lines.
 
-        Chunking semantics match
-        :meth:`repro.xbar.mac_array.MacCrossbar._record_batch_macs`: a
-        query with ``k`` hits splits into ``k // limit`` full chunks
-        plus a remainder chunk; each chunk is one MAC op charging its
-        row count of DAC activations and one ADC sample per engaged
-        column. All scatters are vectorized.
+        ``slots`` is the one slot every op ran on, or an integer array
+        with one slot per op. Each op charges one ``mac_ops``, its rows
+        (also its DAC activations), ``rows x cols`` cell multiplies,
+        ``cols`` ADC samples, and one entry in its array's rows
+        histogram. The caller has already chunked its MACs at the
+        array's limit.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        hits = np.asarray(hit_counts, dtype=np.int64)
-        if slots.shape != hits.shape:
-            raise ConfigError("need exactly one slot per hit count")
-        if hits.size == 0:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
             return
-        limit = self.accumulate_limit
-        full = hits // limit
-        rem = hits % limit
-        ops = full + (rem > 0)
-        c = self._counts
-        np.add.at(c["mac_ops"], slots, ops)
-        np.add.at(c["mac_rows_accumulated"], slots, hits)
-        np.add.at(c["mac_cell_ops"], slots, hits * int(num_cols))
-        np.add.at(c["dac_conversions"], slots, hits)
-        np.add.at(c["adc_conversions"], slots, ops * int(num_cols))
-        self._grow_hist_width(limit + 1)
-        np.add.at(self._hist[:, limit], slots, full)
-        partial = rem > 0
-        if partial.any():
-            np.add.at(self._hist, (slots[partial], rem[partial]), 1)
+        self._grow_hist_width(int(rows.max()) + 1)
+        width = self._hist.shape[1]
+        if isinstance(slots, np.ndarray):
+            n = self._n
+            ops = np.bincount(slots, minlength=n)
+            total = np.bincount(slots, weights=rows, minlength=n).astype(
+                np.int64
+            )
+            self._hist[:n] += np.bincount(
+                slots * width + rows, minlength=n * width
+            ).reshape(n, width)
+            self._counts[:n, _MAC_COLUMNS] += np.stack(
+                [ops, total, total * cols, total, ops * cols], axis=1
+            )
+        else:
+            ops, total = rows.size, int(rows.sum())
+            self._hist[slots] += np.bincount(rows, minlength=width)
+            self._counts[slots, _MAC_COLUMNS] += (
+                ops, total, total * cols, total, ops * cols
+            )
+
+    # ------------------------------------------------------------------
+    # Reading events back
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Board-wide column sums and summed histogram, now — the
+        ``since`` mark for :meth:`events`."""
+        n = self._n
+        return self._counts[:n].sum(axis=0), self._hist[:n].sum(axis=0)
+
+    def events(
+        self, since: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> EventLog:
+        """The board's column sums as an :class:`~repro.events.EventLog`.
+
+        With ``since`` (a :meth:`snapshot`), only what was charged after
+        the mark. Counters outside :data:`HW_COUNTERS` stay zero.
+        """
+        totals, hist = self.snapshot()
+        if since is not None:
+            totals = totals - since[0]
+            hist[: since[1].size] -= since[1]
+        log = EventLog(
+            **{name: int(value) for name, value in zip(HW_COUNTERS, totals)}
+        )
+        log.mac_rows_hist = hist
+        return log
 
     # ------------------------------------------------------------------
     # Superstep timeline
@@ -281,7 +299,8 @@ class HwMonitor:
     def _ops_cursor(self) -> np.ndarray:
         n = self._n
         return (
-            self._counts["cam_searches"][:n] + self._counts["mac_ops"][:n]
+            self._counts[:n, _COLUMN["cam_searches"]]
+            + self._counts[:n, _COLUMN["mac_ops"]]
         )
 
     def end_step(self, label: Optional[str] = None) -> Dict[str, Any]:
@@ -320,18 +339,16 @@ class HwMonitor:
     def counts(self, name: str) -> np.ndarray:
         """Per-array values of one counter (copy, length
         :attr:`num_arrays`)."""
-        if name not in self._counts:
+        if name not in _COLUMN:
             raise ConfigError(
                 f"unknown hw counter {name!r}; known: {list(HW_COUNTERS)}"
             )
-        return self._counts[name][: self._n].copy()
+        return self._counts[: self._n, _COLUMN[name]].copy()
 
     def totals(self) -> Dict[str, int]:
         """Each counter summed over every array."""
-        return {
-            name: int(self._counts[name][: self._n].sum())
-            for name in HW_COUNTERS
-        }
+        totals, _hist = self.snapshot()
+        return {name: int(v) for name, v in zip(HW_COUNTERS, totals)}
 
     def rows_hist(self) -> np.ndarray:
         """Occupancy histograms, shape ``(num_arrays, width)``."""
@@ -387,11 +404,9 @@ class HwMonitor:
         that category exactly.
         """
         if tech is None:
-            from ..config import TechnologyParams
-
             tech = TechnologyParams()
         n = self._n
-        c = {name: self._counts[name][:n] for name in HW_COUNTERS}
+        c = {name: self._counts[:n, _COLUMN[name]] for name in HW_COUNTERS}
         cam_j = c["cam_searches"] * tech.cam_search_energy_j
         mac_j = c["mac_ops"] * tech.mac_energy_j
         write_j = (
@@ -421,17 +436,25 @@ class HwMonitor:
         return out
 
 
+def _grown(array: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """``array`` zero-padded to ``size`` along ``axis``."""
+    shape = list(array.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=array.dtype)
+    out[tuple(slice(0, extent) for extent in array.shape)] = array
+    return out
+
+
 # ----------------------------------------------------------------------
 # Parity: per-array sums vs the run's global EventLog
 # ----------------------------------------------------------------------
 def check_parity(monitor: HwMonitor, events) -> Dict[str, Any]:
-    """Prove the attribution sums back to the global totals.
+    """Compare the board's totals with a run's global EventLog.
 
-    Compares every :data:`HW_COUNTERS` sum — and the occupancy
-    histogram — against the run's :class:`~repro.events.EventLog`.
-    Returns ``{"ok": bool, "mismatches": {counter: {"hw": ...,
-    "events": ...}}}``; an empty mismatch map means every array-side
-    increment was mirrored and nothing was double-counted.
+    Every :data:`HW_COUNTERS` sum — and the occupancy histogram — is
+    checked against ``events``. A board that observed several runs
+    matches their merged log. Returns ``{"ok": bool, "mismatches":
+    {counter: {"hw": ..., "events": ...}}}``.
     """
     totals = monitor.totals()
     mismatches: Dict[str, Any] = {}
@@ -443,16 +466,10 @@ def check_parity(monitor: HwMonitor, events) -> Dict[str, Any]:
                 "events": int(event_counts.get(name, 0)),
             }
     hw_hist = monitor.rows_hist().sum(axis=0)
-    ev_hist = events.mac_rows_hist
-    width = max(hw_hist.size, ev_hist.size)
-    a = np.zeros(width, dtype=np.int64)
-    b = np.zeros(width, dtype=np.int64)
-    a[: hw_hist.size] = hw_hist
-    b[: ev_hist.size] = ev_hist
-    if not np.array_equal(a, b):
+    if not hists_equal(hw_hist, events.mac_rows_hist):
         mismatches["mac_rows_hist"] = {
             "hw": hw_hist.tolist(),
-            "events": ev_hist.tolist(),
+            "events": events.mac_rows_hist.tolist(),
         }
     return {"ok": not mismatches, "mismatches": mismatches}
 

@@ -3,8 +3,10 @@
 These classes really perform the operations GaaS-X builds on — ternary
 CAM searches over stored bit patterns, selective analog multiply-
 accumulate with bit-sliced ReRAM cells, DAC/ADC conversion — one array
-at a time, while counting every hardware event. They are the ground
-truth the vectorized engine (:mod:`repro.core`) is validated against.
+at a time, charging every hardware event to the array's slot on a
+per-array counter board (:class:`repro.obs.hw.HwMonitor`). They are
+the ground truth the vectorized engine (:mod:`repro.core`) is
+validated against.
 """
 
 from .adc import ADC
@@ -12,7 +14,6 @@ from .cam_array import CamCrossbar, EdgeCam
 from .cells import FixedPointFormat, slice_values, unslice_values
 from .dac import DAC
 from .mac_array import MacCrossbar
-from .sfu import SpecialFunctionUnit
 
 __all__ = [
     "ADC",
@@ -20,7 +21,6 @@ __all__ = [
     "CamCrossbar",
     "EdgeCam",
     "MacCrossbar",
-    "SpecialFunctionUnit",
     "FixedPointFormat",
     "slice_values",
     "unslice_values",

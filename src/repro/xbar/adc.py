@@ -15,16 +15,25 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..events import EventLog
+from ..obs.hw import HwMonitor, attach
 
 
 class ADC:
-    """An n-bit ADC digitizing sampled bit-line sums."""
+    """An n-bit ADC digitizing sampled bit-line sums.
+
+    Conversions are charged to slot ``slot`` of the counter board
+    ``hw`` — the MAC array's own slot for the converter inside a
+    :class:`~repro.xbar.mac_array.MacCrossbar`. Without a slot, the
+    converter registers one (bank ``"adc"``) on ``hw``, or on a private
+    one-slot board when ``hw`` is None.
+    """
 
     def __init__(
         self,
         bits: int = 6,
         max_input: Optional[float] = None,
-        events: Optional[EventLog] = None,
+        hw: Optional[HwMonitor] = None,
+        slot: Optional[int] = None,
     ) -> None:
         if bits <= 0:
             raise ConfigError("ADC resolution must be positive")
@@ -34,11 +43,13 @@ class ADC:
         self.max_input = float(max_input) if max_input is not None else float(self.max_code)
         if self.max_input <= 0:
             raise ConfigError("ADC full-scale input must be positive")
-        self.events = events if events is not None else EventLog()
-        #: optional per-array counter handle
-        #: (:class:`repro.obs.hw.ArrayCounters`); ``None`` keeps the
-        #: model monitor-free.
-        self.hw = None
+        self.hw, self.slot = attach(hw, "adc", slot=slot)
+
+    @property
+    def events(self) -> EventLog:
+        """The board's column sums (this converter's own events when
+        the board is private)."""
+        return self.hw.events()
 
     @property
     def max_code(self) -> int:
@@ -53,14 +64,10 @@ class ADC:
         exists to keep at zero (Section V-A).
         """
         analog = np.asarray(analog, dtype=np.float64)
-        self.events.adc_conversions += int(analog.size)
         codes = np.rint(analog * (self.max_code / self.max_input))
         clipped = int(np.count_nonzero(codes > self.max_code))
-        self.events.adc_saturations += clipped
-        if self.hw is not None:
-            self.hw.add("adc_conversions", int(analog.size))
-            if clipped:
-                self.hw.add("adc_saturations", clipped)
+        self.hw.add(self.slot, "adc_conversions", int(analog.size))
+        self.hw.add(self.slot, "adc_saturations", clipped)
         return np.clip(codes, 0, self.max_code).astype(np.int64)
 
     def saturates(self, analog_value: float) -> bool:

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError
 from ..events import EventLog
+from ..obs.hw import HwMonitor, attach
 
 
 def encode_ids(values: np.ndarray, bits: int) -> np.ndarray:
@@ -84,28 +85,33 @@ def pack_edge_keys(
 
 
 class CamCrossbar:
-    """A ternary CAM array of ``rows`` x ``width_bits`` bit cells."""
+    """A ternary CAM array of ``rows`` x ``width_bits`` bit cells.
+
+    Events are charged to slot :attr:`slot` of the counter board
+    :attr:`hw` (a :class:`~repro.obs.hw.HwMonitor`; a private one-slot
+    board when ``hw`` is None), registered in bank ``"cam"``.
+    """
 
     def __init__(
         self,
         rows: int = 128,
         width_bits: int = 128,
-        events: Optional[EventLog] = None,
+        hw: Optional[HwMonitor] = None,
     ) -> None:
         if rows <= 0 or width_bits <= 0:
             raise ConfigError("CAM dimensions must be positive")
         self.rows = rows
         self.width_bits = width_bits
-        self.events = events if events is not None else EventLog()
-        #: optional per-array counter handle
-        #: (:class:`repro.obs.hw.ArrayCounters`); ``None`` keeps the
-        #: model monitor-free. Every event-log increment below has a
-        #: guarded mirror so per-array sums match the global log by
-        #: construction.
-        self.hw = None
+        self.hw, self.slot = attach(hw, "cam")
         self._bits = np.zeros((rows, width_bits), dtype=bool)
         self._valid = np.zeros(rows, dtype=bool)
         self._words = _pack_words(self._bits)
+
+    @property
+    def events(self) -> EventLog:
+        """The board's column sums (this array's own events when the
+        board is private)."""
+        return self.hw.events()
 
     def _encode(self, value: int, bits: int) -> np.ndarray:
         if value < 0 or value >= (1 << bits):
@@ -122,12 +128,7 @@ class CamCrossbar:
         self._bits[row] = pattern
         self._words[row] = _pack_words(pattern[None, :])[0]
         self._valid[row] = True
-        self.events.cam_row_writes += 1
-        # Each TCAM bit uses two complementary cells.
-        self.events.cam_cell_writes += 2 * self.width_bits
-        if self.hw is not None:
-            self.hw.add("cam_row_writes", 1)
-            self.hw.add("cam_cell_writes", 2 * self.width_bits)
+        self._charge_writes(1)
 
     def write_rows(self, first_row: int, patterns: np.ndarray) -> None:
         """Program a contiguous row block in one operation.
@@ -146,11 +147,12 @@ class CamCrossbar:
         self._bits[block] = patterns
         self._words[block] = _pack_words(patterns)
         self._valid[block] = True
-        self.events.cam_row_writes += count
-        self.events.cam_cell_writes += 2 * self.width_bits * count
-        if self.hw is not None:
-            self.hw.add("cam_row_writes", count)
-            self.hw.add("cam_cell_writes", 2 * self.width_bits * count)
+        self._charge_writes(count)
+
+    def _charge_writes(self, rows: int) -> None:
+        self.hw.add(self.slot, "cam_row_writes", rows)
+        # Each TCAM bit uses two complementary cells.
+        self.hw.add(self.slot, "cam_cell_writes", 2 * self.width_bits * rows)
 
     def invalidate(self) -> None:
         """Mark every row empty (no write cost; rows are overwritten)."""
@@ -200,12 +202,10 @@ class CamCrossbar:
 
         The memoized path in :mod:`repro.core.reuse` calls this when a
         cached hit matrix answers a search: the hardware would still
-        perform one broadcast per key, so the event log and the
-        per-array counters must advance exactly as if the fold had run.
+        perform one broadcast per key, so the counters must advance
+        exactly as if the fold had run.
         """
-        self.events.cam_searches += int(queries)
-        if self.hw is not None:
-            self.hw.add("cam_searches", int(queries))
+        self.hw.add(self.slot, "cam_searches", int(queries))
 
     def search_packed(
         self,
@@ -257,8 +257,8 @@ class CamBank:
     parallel (Figure 7); a bank snapshots its members' packed words so
     one :meth:`search_packed` call resolves a batch of searches routed
     to *different* members without a Python loop per crossbar. Members
-    must share one :class:`~repro.events.EventLog`, and counts are
-    identical to issuing the same searches member by member. The
+    must share one counter board, and each member is charged exactly
+    what issuing the same searches member by member would charge. The
     snapshot is taken at construction — rebuild the bank after
     reloading any member.
     """
@@ -271,41 +271,28 @@ class CamBank:
         for cam in cams:
             if cam.rows != first.rows or cam.width_bits != first.width_bits:
                 raise ConfigError("bank members must share one geometry")
-            if cam.events is not first.events:
-                raise ConfigError("bank members must share one event log")
-        self.events = first.events
+            if cam.hw is not first.hw:
+                raise ConfigError("bank members must share one board")
+        self.hw = first.hw
+        self._slots = np.array([cam.slot for cam in cams], dtype=np.int64)
         self._words = np.stack([cam._words for cam in cams])
         self._valid = np.stack([cam._valid for cam in cams])
-        # Per-array attribution survives the gang path when every
-        # member carries a handle onto one monitor: gang searches then
-        # scatter per-member counts instead of charging the ref.
-        handles = [cam.hw for cam in cams]
-        if all(h is not None for h in handles) and len(
-            {id(h.monitor) for h in handles}
-        ) == 1:
-            self._hw_monitor = handles[0].monitor
-            self._hw_slots = np.array(
-                [h.slot for h in handles], dtype=np.int64
-            )
-        else:
-            self._hw_monitor = None
-            self._hw_slots = None
+
+    @property
+    def events(self) -> EventLog:
+        """The shared board's column sums."""
+        return self.hw.events()
 
     def charge_search(self, member_ids: np.ndarray) -> None:
         """Charge the events of one gang search without running it.
 
         ``member_ids`` routes query ``i`` to member ``member_ids[i]``;
-        the global log gains one search per query and — when per-array
-        attribution is live — each member's counter gains its share,
+        each member is charged one search per query routed to it,
         exactly as :meth:`search_packed` would have charged. Used by
         the memoized traversal path in :mod:`repro.core.reuse`.
         """
         member_ids = np.asarray(member_ids, dtype=np.int64)
-        self.events.cam_searches += int(member_ids.size)
-        if self._hw_monitor is not None:
-            self._hw_monitor.add_many(
-                self._hw_slots[member_ids], "cam_searches", 1
-            )
+        self.hw.add(self._slots[member_ids], "cam_searches", 1)
 
     def search_packed(
         self,
@@ -361,12 +348,12 @@ class EdgeCam:
         self,
         rows: int = 128,
         vertex_bits: int = 32,
-        events: Optional[EventLog] = None,
+        hw: Optional[HwMonitor] = None,
     ) -> None:
         if 2 * vertex_bits > 128:
             raise ConfigError("two vertex ids must fit the 128-bit CAM row")
         self.vertex_bits = vertex_bits
-        self.cam = CamCrossbar(rows, 2 * vertex_bits, events=events)
+        self.cam = CamCrossbar(rows, 2 * vertex_bits, hw=hw)
         self._src = np.full(rows, -1, dtype=np.int64)
         self._dst = np.full(rows, -1, dtype=np.int64)
 
@@ -377,7 +364,7 @@ class EdgeCam:
 
     @property
     def events(self) -> EventLog:
-        """The underlying event log."""
+        """The underlying array's board column sums."""
         return self.cam.events
 
     def load_edges(self, src: np.ndarray, dst: np.ndarray) -> None:

@@ -14,16 +14,28 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..events import EventLog
+from ..obs.hw import HwMonitor, attach
 
 
 class DAC:
-    """An n-bit DAC bank driving crossbar word lines."""
+    """An n-bit DAC bank driving crossbar word lines.
 
-    def __init__(self, bits: int = 2, events: Optional[EventLog] = None) -> None:
+    Conversions are charged to a new slot (bank ``"dac"``) of the
+    counter board ``hw``, or of a private one-slot board when ``hw`` is
+    None.
+    """
+
+    def __init__(self, bits: int = 2, hw: Optional[HwMonitor] = None) -> None:
         if bits <= 0:
             raise ConfigError("DAC resolution must be positive")
         self.bits = bits
-        self.events = events if events is not None else EventLog()
+        self.hw, self.slot = attach(hw, "dac")
+
+    @property
+    def events(self) -> EventLog:
+        """The board's column sums (this converter's own events when
+        the board is private)."""
+        return self.hw.events()
 
     @property
     def levels(self) -> int:
@@ -42,7 +54,7 @@ class DAC:
                 f"DAC codes must be in [0, {self.levels}); stream wider "
                 "inputs over multiple phases"
             )
-        self.events.dac_conversions += int(codes.size)
+        self.hw.add(self.slot, "dac_conversions", int(codes.size))
         return codes.astype(np.float64)
 
     def phases_for(self, input_bits: int) -> int:

@@ -7,7 +7,8 @@ hit vector from a CAM search enables a subset of word lines and the
 bit-line currents sum only those rows. At most ``accumulate_limit``
 rows are summed per operation (the paper fixes 16 so a 6-bit ADC
 suffices); larger hit sets are split into multiple operations, each
-counted in the event log.
+charged to the array's slot on its counter board
+(:class:`~repro.obs.hw.HwMonitor`).
 
 Two numeric modes:
 
@@ -31,12 +32,39 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError
 from ..events import EventLog
+from ..obs.hw import HwMonitor, attach
 from .adc import ADC
 from .cells import FixedPointFormat, slice_values
 
 
+def split_macs(hit_counts: np.ndarray, limit: int):
+    """Chunk selective MACs at the accumulation ``limit``.
+
+    Query ``i`` enabling ``hit_counts[i]`` rows runs as ``k // limit``
+    full operations plus one remainder operation. Returns
+    ``(op_rows, op_query)``: each operation's row count and the query
+    it belongs to.
+    """
+    hits = np.asarray(hit_counts, dtype=np.int64)
+    full = hits // limit
+    rem = hits % limit
+    partial = np.flatnonzero(rem)
+    full_query = np.repeat(np.arange(hits.size), full)
+    op_rows = np.concatenate(
+        [np.full(full_query.size, limit, dtype=np.int64), rem[partial]]
+    )
+    return op_rows, np.concatenate([full_query, partial])
+
+
 class MacCrossbar:
-    """A single MAC-capable crossbar array."""
+    """A single MAC-capable crossbar array.
+
+    Events are charged to slot :attr:`slot` of the counter board
+    :attr:`hw` (a :class:`~repro.obs.hw.HwMonitor`; a private one-slot
+    board when ``hw`` is None), registered in bank ``"mac"`` with this
+    array's ``accumulate_limit``. The internal ADC charges the same
+    slot.
+    """
 
     def __init__(
         self,
@@ -47,7 +75,7 @@ class MacCrossbar:
         accumulate_limit: int = 16,
         adc_bits: int = 6,
         exact: bool = True,
-        events: Optional[EventLog] = None,
+        hw: Optional[HwMonitor] = None,
     ) -> None:
         if rows <= 0 or cols <= 0:
             raise ConfigError("crossbar dimensions must be positive")
@@ -61,28 +89,18 @@ class MacCrossbar:
         self.cell_bits = cell_bits
         self.accumulate_limit = accumulate_limit
         self.exact = exact
-        self.events = events if events is not None else EventLog()
-        self._adc = ADC(adc_bits, events=self.events)
-        self._hw = None
+        self.hw, self.slot = attach(
+            hw, "mac", accumulate_limit=accumulate_limit
+        )
+        self._adc = ADC(adc_bits, hw=self.hw, slot=self.slot)
         self._weights = np.zeros((rows, cols), dtype=np.float64)
         self._codes = np.zeros((rows, cols), dtype=np.int64)
 
     @property
-    def hw(self):
-        """Optional per-array counter handle
-        (:class:`repro.obs.hw.ArrayCounters`); ``None`` keeps the model
-        monitor-free. Every event-log increment in this class has a
-        guarded mirror so per-array sums match the global log by
-        construction. Assigning also attaches the internal ADC, so
-        quantized-mode conversions (and saturations) land on the same
-        array slot.
-        """
-        return self._hw
-
-    @hw.setter
-    def hw(self, handle) -> None:
-        self._hw = handle
-        self._adc.hw = handle
+    def events(self) -> EventLog:
+        """The board's column sums (this array's own events when the
+        board is private)."""
+        return self.hw.events()
 
     @property
     def bit_slices(self) -> int:
@@ -116,11 +134,7 @@ class MacCrossbar:
         self._codes[row_indices, col_indices] = codes
         stored = self.fmt.dequantize(codes) if not self.exact else values
         self._weights[row_indices, col_indices] = stored
-        self.events.row_writes += int(np.unique(row_indices).size)
-        self.events.cell_writes += int(values.size) * self.bit_slices
-        if self._hw is not None:
-            self._hw.add("row_writes", int(np.unique(row_indices).size))
-            self._hw.add("cell_writes", int(values.size) * self.bit_slices)
+        self._charge_writes(np.unique(row_indices).size, values.size)
 
     def write_rows(self, row_indices: np.ndarray, values: np.ndarray) -> None:
         """Program whole rows: ``values`` has shape ``(len(rows), cols)``."""
@@ -137,11 +151,11 @@ class MacCrossbar:
         self._weights[row_indices] = (
             values if self.exact else self.fmt.dequantize(codes)
         )
-        self.events.row_writes += int(row_indices.size)
-        self.events.cell_writes += int(values.size) * self.bit_slices
-        if self._hw is not None:
-            self._hw.add("row_writes", int(row_indices.size))
-            self._hw.add("cell_writes", int(values.size) * self.bit_slices)
+        self._charge_writes(row_indices.size, values.size)
+
+    def _charge_writes(self, rows: int, values: int) -> None:
+        self.hw.add(self.slot, "row_writes", int(rows))
+        self.hw.add(self.slot, "cell_writes", int(values) * self.bit_slices)
 
     def stored_values(self) -> np.ndarray:
         """Copy of the stored value matrix (as the array would compute)."""
@@ -193,13 +207,7 @@ class MacCrossbar:
         out = np.zeros(self.cols, dtype=np.float64)
         if rows.size == 0 or cols.size == 0:
             return out
-        for start in range(0, rows.size, self.accumulate_limit):
-            chunk = rows[start : start + self.accumulate_limit]
-            self.events.record_mac(chunk.size, cols.size)
-            self.events.dac_conversions += int(chunk.size)
-            self.events.adc_conversions += int(cols.size)
-            if self._hw is not None:
-                self._hw.record_chunk(int(chunk.size), int(cols.size))
+        for chunk in self._chunks(rows, cols.size):
             if self.exact:
                 partial = inputs[chunk] @ self._weights[np.ix_(chunk, cols)]
             else:
@@ -207,42 +215,30 @@ class MacCrossbar:
             out[cols] += partial
         return out
 
-    def _record_batch_macs(
-        self,
-        hit_counts: np.ndarray,
-        num_cols: int,
-        attribute: bool = True,
-    ) -> None:
-        """Log the events of one selective MAC per hit-count entry.
-
-        Identical totals (including the Figure 13 histogram) to running
-        the queries one at a time: each query with ``k`` hits splits
-        into ``k // limit`` full chunks plus a remainder chunk, each
-        chunk one MAC op charging its row count of DAC activations and
-        one ADC sample per engaged column.
-
-        ``attribute=False`` skips the per-array hw mirror: the gang
-        bank charges the shared event log through its reference member
-        but attributes per-array work itself (the queries ran on many
-        members, not on the reference).
-        """
-        if attribute and self._hw is not None:
-            self._hw.record_batch(hit_counts, num_cols)
+    def _chunks(self, lines: np.ndarray, engaged: int) -> list:
+        """Split the enabled ``lines`` into accumulation chunks and
+        charge one MAC op per chunk over ``engaged`` bit lines."""
         limit = self.accumulate_limit
-        full = hit_counts // limit
-        rem = hit_counts % limit
-        full_total = int(full.sum())
-        if full_total:
-            op_rows = np.concatenate(
-                [np.full(full_total, limit, dtype=np.int64), rem[rem > 0]]
-            )
-        else:
-            op_rows = rem[rem > 0]
-        if op_rows.size == 0:
-            return
-        self.events.record_mac(op_rows, num_cols)
-        self.events.dac_conversions += int(hit_counts.sum())
-        self.events.adc_conversions += int(op_rows.size) * num_cols
+        chunks = [
+            lines[start : start + limit]
+            for start in range(0, lines.size, limit)
+        ]
+        self.hw.record_macs(
+            self.slot, [chunk.size for chunk in chunks], engaged
+        )
+        return chunks
+
+    def _record_batch_macs(
+        self, hit_counts: np.ndarray, num_cols: int
+    ) -> None:
+        """Charge one selective MAC per hit-count entry.
+
+        Identical counts (including the Figure 13 histogram) to running
+        the queries one at a time: :func:`split_macs` chunks each at
+        this array's accumulation limit.
+        """
+        op_rows, _query = split_macs(hit_counts, self.accumulate_limit)
+        self.hw.record_macs(self.slot, op_rows, num_cols)
 
     def mac_many(
         self,
@@ -336,13 +332,7 @@ class MacCrossbar:
         out = np.zeros(self.rows, dtype=np.float64)
         if rows.size == 0 or cols.size == 0:
             return out
-        for start in range(0, cols.size, self.accumulate_limit):
-            chunk = cols[start : start + self.accumulate_limit]
-            self.events.record_mac(chunk.size, rows.size)
-            self.events.dac_conversions += int(chunk.size)
-            self.events.adc_conversions += int(rows.size)
-            if self._hw is not None:
-                self._hw.record_chunk(int(chunk.size), int(rows.size))
+        for chunk in self._chunks(cols, rows.size):
             if self.exact:
                 partial = self._weights[np.ix_(rows, chunk)] @ inputs[chunk]
             else:
@@ -397,13 +387,7 @@ class MacCrossbar:
         out = np.zeros(self.rows, dtype=np.float64)
         if rows.size == 0 or cols.size == 0:
             return out
-        for start in range(0, rows.size, self.accumulate_limit):
-            chunk = rows[start : start + self.accumulate_limit]
-            self.events.record_mac(chunk.size, cols.size)
-            self.events.dac_conversions += int(chunk.size)
-            self.events.adc_conversions += int(cols.size)
-            if self._hw is not None:
-                self._hw.record_chunk(int(chunk.size), int(cols.size))
+        for chunk in self._chunks(rows, cols.size):
             out[chunk] = self._weights[np.ix_(chunk, cols)] @ inputs[cols]
         return out
 
@@ -459,10 +443,10 @@ class MacBank:
     it snapshots its members' stored weights so one
     :meth:`mac_rowwise_many` call resolves a batch of per-row MACs
     routed to *different* member arrays without a Python loop per
-    crossbar. Members must share one event log; event totals are
-    identical to issuing the same queries member by member. The
-    snapshot is taken at construction — rebuild the bank after
-    reprogramming any member.
+    crossbar. Members must share one counter board; each member is
+    charged exactly what issuing the same queries member by member
+    would charge. The snapshot is taken at construction — rebuild the
+    bank after reprogramming any member.
     """
 
     def __init__(self, macs: Sequence[MacCrossbar]) -> None:
@@ -477,25 +461,17 @@ class MacBank:
                 or mac.accumulate_limit != first.accumulate_limit
             ):
                 raise ConfigError("bank members must share one geometry")
-            if mac.events is not first.events:
-                raise ConfigError("bank members must share one event log")
+            if mac.hw is not first.hw:
+                raise ConfigError("bank members must share one board")
         self._ref = first
-        self.events = first.events
+        self.hw = first.hw
+        self._slots = np.array([mac.slot for mac in macs], dtype=np.int64)
         self._weights = np.stack([mac._weights for mac in macs])
-        # Mirror of the CamBank arrangement: when every member holds a
-        # handle onto one monitor, gang queries scatter per-member
-        # attribution instead of charging the reference member's slot.
-        handles = [mac.hw for mac in macs]
-        if all(h is not None for h in handles) and len(
-            {id(h.monitor) for h in handles}
-        ) == 1:
-            self._hw_monitor = handles[0].monitor
-            self._hw_slots = np.array(
-                [h.slot for h in handles], dtype=np.int64
-            )
-        else:
-            self._hw_monitor = None
-            self._hw_slots = None
+
+    @property
+    def events(self) -> EventLog:
+        """The shared board's column sums."""
+        return self.hw.events()
 
     def mac_rowwise_many(
         self,
@@ -532,14 +508,10 @@ class MacBank:
         # full gather is not.
         weights = self._weights[:, :, cols][member_ids]
         candidates = np.einsum("qrk,qk->qr", weights, inputs[:, cols])
-        hit_counts = hit_rows.sum(axis=1)
-        if self._hw_monitor is not None:
-            ref._record_batch_macs(
-                hit_counts, int(cols.size), attribute=False
-            )
-            self._hw_monitor.record_batch_many(
-                self._hw_slots[member_ids], hit_counts, int(cols.size)
-            )
-        else:
-            ref._record_batch_macs(hit_counts, int(cols.size))
+        op_rows, op_query = split_macs(
+            hit_rows.sum(axis=1), ref.accumulate_limit
+        )
+        self.hw.record_macs(
+            self._slots[member_ids[op_query]], op_rows, int(cols.size)
+        )
         return np.where(hit_rows, candidates, 0.0)

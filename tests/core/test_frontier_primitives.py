@@ -1,9 +1,8 @@
 """Frontier-sparse engine primitives against their dense references.
 
-``segmented_min`` vs ``np.minimum.at``, ``unique_vertices`` (both
-paths) vs ``np.unique``, the lazy ``GroupIndex`` vertex→groups /
-vertex→edges CSR indexes vs brute-force scans, and the deferred
-search-pass accounting on empty frontiers.
+``unique_vertices`` (both paths) vs ``np.unique``, the lazy
+``GroupIndex`` vertex→groups / vertex→edges CSR indexes vs brute-force
+scans, and the deferred search-pass accounting on empty frontiers.
 """
 
 import numpy as np
@@ -11,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ArchConfig
-from repro.core.engine import (
-    DeferredSearchAccounting,
-    segmented_min,
-    unique_vertices,
-)
+from repro.core.engine import DeferredSearchAccounting, unique_vertices
 from repro.core.loader import build_layout
 from repro.events import EventLog
 from repro.graphs import COOMatrix, Graph, partition_graph
@@ -34,36 +29,6 @@ def _random_graph(rng, n=20, count=40):
 def _layout_for(graph, order="row"):
     grid = partition_graph(graph, 8)
     return build_layout(grid, order, ArchConfig())
-
-
-class TestSegmentedMin:
-    @given(st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_minimum_at_scatter(self, seed):
-        rng = np.random.default_rng(seed)
-        graph = _random_graph(rng)
-        layout = _layout_for(graph)
-        rank = layout.sort_rank("dst")
-        edges = np.flatnonzero(rng.random(layout.dst.size) < 0.6)
-        if edges.size == 0:
-            return
-        values = rng.uniform(0.0, 5.0, size=edges.size)
-        touched, mins = segmented_min(layout.dst, values, rank, edges)
-        reference = np.full(graph.num_vertices, np.inf)
-        np.minimum.at(reference, layout.dst[edges], values)
-        assert np.array_equal(touched, np.unique(layout.dst[edges]))
-        assert np.array_equal(mins, reference[touched])
-
-    def test_single_edge(self):
-        rng = np.random.default_rng(1)
-        graph = _random_graph(rng)
-        layout = _layout_for(graph)
-        rank = layout.sort_rank("dst")
-        touched, mins = segmented_min(
-            layout.dst, np.array([2.5]), rank, np.array([0])
-        )
-        assert touched.size == 1 and touched[0] == layout.dst[0]
-        assert mins[0] == 2.5
 
 
 class TestUniqueVertices:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ArchConfig
 from repro.core.algorithms.incremental import wcc_warm_state
 from repro.core.engine import GaaSXEngine
 from repro.core.micro import MicroGaaSX
@@ -185,10 +184,9 @@ class TestIncrementalWcc:
 # ----------------------------------------------------------------------
 class TestMemoizedParity:
     def test_warm_micro_run_keeps_counter_parity(self, medium_rmat):
-        limit = ArchConfig().mac_accumulate_limit
         runs = []
         for _ in range(2):  # second run answers from the memo
-            monitor = HwMonitor(limit)
+            monitor = HwMonitor()
             ranks, events = MicroGaaSX(
                 medium_rmat, hw=monitor
             ).pagerank(iterations=2)

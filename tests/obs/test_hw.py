@@ -2,16 +2,18 @@
 
 The load-bearing property is *parity by construction*: every counter
 summed over the arrays equals the run's global
-:class:`~repro.events.EventLog` total, because each event-log increment
-site mirrors into the attached slot. The integration tests prove it on
-real engine runs (exact and quantized, including the gang-bank scatter
-paths); the unit tests pin the chunking arithmetic those runs rely on.
+:class:`~repro.events.EventLog` total, because the board is the only
+place array events are counted and the run's log is read off it. The
+integration tests check it on real engine runs (exact and quantized,
+including the gang-bank scatter paths); the unit tests pin the
+charging arithmetic those runs rely on.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import ArchConfig, TechnologyParams
+from repro.core.engine import GaaSXEngine
 from repro.core.micro import MicroGaaSX
 from repro.energy.ledger import EnergyLedger
 from repro.errors import ConfigError
@@ -28,6 +30,7 @@ from repro.obs.hw import (
     utilization_summary,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.xbar.mac_array import MacBank, MacCrossbar
 
 
 @pytest.fixture()
@@ -36,7 +39,7 @@ def graph():
 
 
 def run_monitored(graph, algorithm="pagerank", **engine_kwargs):
-    monitor = HwMonitor(ArchConfig().mac_accumulate_limit)
+    monitor = HwMonitor()
     engine = MicroGaaSX(graph, hw=monitor, **engine_kwargs)
     if algorithm == "pagerank":
         _, events = engine.pagerank(iterations=2)
@@ -49,28 +52,30 @@ def run_monitored(graph, algorithm="pagerank", **engine_kwargs):
 
 class TestMonitorBasics:
     def test_rejects_degenerate_limit(self):
+        # The array validates its bound before taking a board slot.
+        monitor = HwMonitor()
         with pytest.raises(ConfigError):
-            HwMonitor(0)
+            MacCrossbar(accumulate_limit=0, hw=monitor)
+        assert monitor.num_arrays == 0
 
     def test_register_allocates_labelled_slots(self):
         monitor = HwMonitor()
         cam0 = monitor.register("cam")
         cam1 = monitor.register("cam")
-        mac0 = monitor.register("mac", index=7)
-        assert (cam0.slot, cam1.slot, mac0.slot) == (0, 1, 2)
-        # Per-bank default indexing; explicit index respected.
-        assert (cam0.index, cam1.index, mac0.index) == (0, 1, 7)
+        mac0 = monitor.register("mac")
+        assert (cam0, cam1, mac0) == (0, 1, 2)
+        # Arrays are indexed in per-bank registration order.
         assert monitor.labels() == [
             {"bank": "cam", "array": "0"},
             {"bank": "cam", "array": "1"},
-            {"bank": "mac", "array": "7"},
+            {"bank": "mac", "array": "0"},
         ]
 
     def test_slot_growth_preserves_counts(self):
         monitor = HwMonitor()
-        handles = [monitor.register("cam") for _ in range(20)]
-        for i, handle in enumerate(handles):
-            handle.add("cam_searches", i + 1)
+        slots = [monitor.register("cam") for _ in range(20)]
+        for i, slot in enumerate(slots):
+            monitor.add(slot, "cam_searches", i + 1)
         counts = monitor.counts("cam_searches")
         assert counts.tolist() == list(range(1, 21))
 
@@ -79,9 +84,8 @@ class TestMonitorBasics:
             HwMonitor().counts("warp_drives")
 
     def test_record_chunk_charges_converters(self):
-        monitor = HwMonitor(16)
-        handle = monitor.register("mac")
-        handle.record_chunk(5, 3)
+        monitor = HwMonitor()
+        monitor.record_macs(monitor.register("mac"), [5], 3)
         totals = monitor.totals()
         assert totals["mac_ops"] == 1
         assert totals["mac_rows_accumulated"] == 5
@@ -91,39 +95,45 @@ class TestMonitorBasics:
         assert monitor.rows_hist()[0, 5] == 1
 
     def test_hist_grows_beyond_limit(self):
-        monitor = HwMonitor(16)
-        monitor.register("mac").record_chunk(40, 1)
+        monitor = HwMonitor()
+        monitor.record_macs(
+            monitor.register("mac", accumulate_limit=16), [40], 1
+        )
         hist = monitor.rows_hist()
         assert hist.shape[1] >= 41
         assert hist[0, 40] == 1
+
+
+def _hit_rows(hit_counts, rows):
+    hits = np.zeros((len(hit_counts), rows), dtype=bool)
+    for i, count in enumerate(hit_counts):
+        hits[i, :count] = True
+    return hits
 
 
 class TestBatchedAttribution:
     """The gang-path scatter must reproduce the per-chunk arithmetic."""
 
     def test_record_batch_matches_chunk_loop(self):
-        limit = 16
-        hits = np.array([1, 16, 17, 40, 0])
-        cols = 4
-        batched = HwMonitor(limit)
-        batched.register("mac").record_batch(hits, cols)
-        looped = HwMonitor(limit)
-        handle = looped.register("mac")
-        for h in hits:
-            h = int(h)
-            while h > 0:
-                chunk = min(h, limit)
-                handle.record_chunk(chunk, cols)
-                h -= chunk
-        assert batched.totals() == looped.totals()
-        assert np.array_equal(batched.rows_hist(), looped.rows_hist())
+        hits = _hit_rows([1, 16, 17, 40, 0], rows=48)
+        cols = np.arange(4)
+        batched = MacCrossbar(rows=48, cols=4, accumulate_limit=16)
+        batched.mac_many(np.ones(48), hits, col_mask=cols)
+        looped = MacCrossbar(rows=48, cols=4, accumulate_limit=16)
+        for row in hits:
+            looped.mac(np.ones(48), row_mask=row, col_mask=cols)
+        assert batched.hw.totals() == looped.hw.totals()
+        assert np.array_equal(batched.hw.rows_hist(), looped.hw.rows_hist())
 
     def test_record_batch_many_scatters_per_slot(self):
-        monitor = HwMonitor(16)
-        monitor.register("mac")
-        monitor.register("mac")
-        monitor.record_batch_many(
-            np.array([0, 1, 0]), np.array([16, 3, 2]), 2
+        monitor = HwMonitor()
+        bank = MacBank(
+            [MacCrossbar(rows=32, cols=2, hw=monitor) for _ in range(2)]
+        )
+        bank.mac_rowwise_many(
+            np.array([0, 1, 0]),
+            np.ones((3, 2)),
+            _hit_rows([16, 3, 2], rows=32),
         )
         ops = monitor.counts("mac_ops")
         assert ops.tolist() == [2, 1]  # slot 0: one full + one partial
@@ -135,17 +145,18 @@ class TestBatchedAttribution:
 
     def test_record_batch_many_shape_mismatch(self):
         monitor = HwMonitor()
-        monitor.register("mac")
+        bank = MacBank([MacCrossbar(rows=8, cols=2, hw=monitor)])
         with pytest.raises(ConfigError):
-            monitor.record_batch_many(
-                np.array([0]), np.array([1, 2]), 1
+            bank.mac_rowwise_many(
+                np.array([0]), np.ones((2, 2)), np.ones((2, 8), dtype=bool)
             )
+        assert monitor.totals()["mac_ops"] == 0
 
     def test_add_many_broadcasts_scalar(self):
         monitor = HwMonitor()
         monitor.register("cam")
         monitor.register("cam")
-        monitor.add_many(np.array([0, 1, 1]), "cam_searches", 1)
+        monitor.add(np.array([0, 1, 1]), "cam_searches", 1)
         assert monitor.counts("cam_searches").tolist() == [1, 2]
 
 
@@ -154,9 +165,9 @@ class TestTimeline:
         monitor = HwMonitor()
         cam = monitor.register("cam")
         mac = monitor.register("mac")
-        cam.add("cam_searches", 3)
+        monitor.add(cam, "cam_searches", 3)
         first = monitor.end_step()
-        mac.record_chunk(2, 1)
+        monitor.record_macs(mac, [2], 1)
         second = monitor.end_step()
         assert first["ops"] == [3, 0]
         assert first["active_frac"] == pytest.approx(0.5)
@@ -193,18 +204,68 @@ class TestEngineParity:
         assert mean == pytest.approx(global_stats["mean_rows"])
 
 
+class TestNonDefaultLimit:
+    """A MAC is chunked once, at the array's own accumulation limit.
+
+    A default monitor on a limit-8 engine must still balance: the board
+    takes its bound from the registered MAC arrays and never re-chunks.
+    """
+
+    CONFIG = ArchConfig(mac_accumulate_limit=8)
+
+    @pytest.fixture(scope="class")
+    def limit_graph(self):
+        return rmat(512, 6000, seed=1, name="hw-limit")
+
+    @staticmethod
+    def run(engine, algorithm):
+        if algorithm == "pagerank":
+            return engine.pagerank(iterations=2)
+        return engine.sssp(0)
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
+    def test_limit_8_parity_and_engine_equality(
+        self, limit_graph, algorithm
+    ):
+        monitor = HwMonitor()
+        micro = MicroGaaSX(limit_graph, config=self.CONFIG, hw=monitor)
+        _, events = self.run(micro, algorithm)
+        verdict = check_parity(monitor, events)
+        assert verdict["ok"], verdict["mismatches"]
+        engine = GaaSXEngine(limit_graph, config=self.CONFIG)
+        assert events.counters_equal(
+            self.run(engine, algorithm).stats.events
+        )
+        assert monitor.accumulate_limit == 8
+
+    def test_one_monitor_across_two_runs(self, limit_graph):
+        monitor = HwMonitor()
+        micro = MicroGaaSX(limit_graph, config=self.CONFIG, hw=monitor)
+        engine = GaaSXEngine(limit_graph, config=self.CONFIG)
+        logs = []
+        for algorithm in ("pagerank", "sssp"):
+            _, events = self.run(micro, algorithm)
+            assert events.counters_equal(
+                self.run(engine, algorithm).stats.events
+            ), algorithm
+            logs.append(events)
+        # The board saw both runs: it balances against their sum.
+        both = EventLog().merge(logs[0]).merge(logs[1])
+        assert check_parity(monitor, both)["ok"]
+
+
 class TestParityDetection:
     def test_missing_mirror_detected(self, graph):
         monitor, events = run_monitored(graph)
-        # Simulate an unmirrored event-log increment.
+        # Simulate an event counted outside the board.
         events.cam_searches += 1
         verdict = check_parity(monitor, events)
         assert not verdict["ok"]
         assert "cam_searches" in verdict["mismatches"]
 
     def test_hist_divergence_detected(self):
-        monitor = HwMonitor(16)
-        monitor.register("mac").record_chunk(4, 1)
+        monitor = HwMonitor()
+        monitor.record_macs(monitor.register("mac"), [4], 1)
         events = EventLog()
         events.record_mac(5, cols=1)  # same op count, different rows bin
         verdict = check_parity(monitor, events)
@@ -225,7 +286,7 @@ class TestEnergyAttribution:
 
     def test_phase_rollup_covers_every_category(self):
         monitor = HwMonitor()
-        monitor.register("mac").record_chunk(4, 2)
+        monitor.record_macs(monitor.register("mac"), [4], 2)
         (entry,) = monitor.energy()
         assert entry["total_j"] == pytest.approx(
             sum(entry["phases"].values())
@@ -273,7 +334,7 @@ class TestReport:
         for _ in range(4):
             monitor.register("cam")
         for slot in range(4):
-            monitor.add_many(np.array([slot]), "cam_searches", 10)
+            monitor.add(slot, "cam_searches", 10)
         summary = utilization_summary(monitor)
         assert summary["imbalance"] == pytest.approx(1.0)
         assert summary["active_frac"] == pytest.approx(1.0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.events import EventLog
+from repro.obs.hw import HwMonitor
 from repro.xbar import EdgeCam, MacCrossbar
 from repro.xbar.cam_array import CamBank, CamCrossbar, encode_ids
 from repro.xbar.mac_array import MacBank
@@ -21,8 +21,7 @@ from repro.xbar.mac_array import MacBank
 
 def _loaded_edge_cam(seed=0, rows=32, vertex_bits=8, count=20):
     rng = np.random.default_rng(seed)
-    events = EventLog()
-    cam = EdgeCam(rows=rows, vertex_bits=vertex_bits, events=events)
+    cam = EdgeCam(rows=rows, vertex_bits=vertex_bits)
     src = rng.integers(0, 50, size=count)
     dst = rng.integers(0, 50, size=count)
     cam.load_edges(src, dst)
@@ -75,8 +74,7 @@ class TestSearchManyEquivalence:
     def test_all_masked_search_hits_every_valid_row(self):
         # A fully-masked (all don't-care) key matches any written row:
         # no bit is required to agree, invalid rows still never hit.
-        events = EventLog()
-        cam = CamCrossbar(rows=8, width_bits=16, events=events)
+        cam = CamCrossbar(rows=8, width_bits=16)
         cam.write_row(2, np.ones(16, dtype=bool))
         cam.write_row(5, np.zeros(16, dtype=bool))
         hits = cam.search(
@@ -85,8 +83,7 @@ class TestSearchManyEquivalence:
         assert np.array_equal(np.flatnonzero(hits), [2, 5])
 
     def test_search_many_all_masked(self):
-        events = EventLog()
-        cam = CamCrossbar(rows=8, width_bits=16, events=events)
+        cam = CamCrossbar(rows=8, width_bits=16)
         cam.write_row(1, np.zeros(16, dtype=bool))
         keys = np.stack([np.ones(16, dtype=bool), np.zeros(16, dtype=bool)])
         hits = cam.search_many(keys, mask=np.zeros(16, dtype=bool))
@@ -96,11 +93,11 @@ class TestSearchManyEquivalence:
 
 class TestCamBank:
     def test_matches_per_member_search(self):
-        events = EventLog()
+        board = HwMonitor()
         cams = []
         rng = np.random.default_rng(3)
         for _ in range(4):
-            cam = EdgeCam(rows=16, vertex_bits=8, events=events)
+            cam = EdgeCam(rows=16, vertex_bits=8, hw=board)
             cam.load_edges(
                 rng.integers(0, 30, size=10), rng.integers(0, 30, size=10)
             )
@@ -109,22 +106,23 @@ class TestCamBank:
         member_ids = rng.integers(0, 4, size=25)
         vertices = rng.integers(0, 30, size=25)
         key_words, mask_words = cams[0].pack_keys(vertices, "src")
-        before = events.cam_searches
+        before = bank.events.cam_searches
         ganged = bank.search_packed(member_ids, key_words, mask_words)
-        assert events.cam_searches == before + 25
+        assert bank.events.cam_searches == before + 25
         for i, (m, v) in enumerate(zip(member_ids, vertices)):
             assert np.array_equal(ganged[i], cams[m].search_src(int(v)))
 
     def test_rejects_mixed_event_logs(self):
-        a = CamCrossbar(rows=8, width_bits=16, events=EventLog())
-        b = CamCrossbar(rows=8, width_bits=16, events=EventLog())
+        # Members on different counter boards cannot gang.
+        a = CamCrossbar(rows=8, width_bits=16)
+        b = CamCrossbar(rows=8, width_bits=16)
         with pytest.raises(ConfigError):
             CamBank([a, b])
 
     def test_rejects_mixed_geometry(self):
-        events = EventLog()
-        a = CamCrossbar(rows=8, width_bits=16, events=events)
-        b = CamCrossbar(rows=16, width_bits=16, events=events)
+        board = HwMonitor()
+        a = CamCrossbar(rows=8, width_bits=16, hw=board)
+        b = CamCrossbar(rows=16, width_bits=16, hw=board)
         with pytest.raises(ConfigError):
             CamBank([a, b])
 
@@ -133,10 +131,10 @@ class TestCamBank:
             CamBank([])
 
 
-def _loaded_mac(events, seed=0, rows=32, cols=8, limit=4):
+def _loaded_mac(board=None, seed=0, rows=32, cols=8, limit=4):
     rng = np.random.default_rng(seed)
     mac = MacCrossbar(
-        rows=rows, cols=cols, accumulate_limit=limit, events=events
+        rows=rows, cols=cols, accumulate_limit=limit, hw=board
     )
     mac.preset(rng.uniform(-1.0, 1.0, size=(rows, cols)))
     return mac
@@ -145,9 +143,8 @@ def _loaded_mac(events, seed=0, rows=32, cols=8, limit=4):
 class TestMacManyEquivalence:
     def test_values_and_events_match_sequential(self):
         rng = np.random.default_rng(7)
-        seq_events, batch_events = EventLog(), EventLog()
-        seq = _loaded_mac(seq_events)
-        batch = _loaded_mac(batch_events)
+        seq = _loaded_mac()
+        batch = _loaded_mac()
         inputs = rng.uniform(-1.0, 1.0, size=32)
         hit_rows = rng.random((6, 32)) < 0.4
         cols = np.array([0, 3])
@@ -156,15 +153,15 @@ class TestMacManyEquivalence:
         )
         got = batch.mac_many(inputs, hit_rows, col_mask=cols)
         assert np.allclose(got, expected)
+        seq_events, batch_events = seq.events, batch.events
         assert batch_events.counters_equal(seq_events)
         assert np.array_equal(
             batch_events.mac_rows_hist, seq_events.mac_rows_hist
         )
 
     def test_over_limit_hit_sets_split_identically(self):
-        seq_events, batch_events = EventLog(), EventLog()
-        seq = _loaded_mac(seq_events, limit=4)
-        batch = _loaded_mac(batch_events, limit=4)
+        seq = _loaded_mac(limit=4)
+        batch = _loaded_mac(limit=4)
         inputs = np.ones(32)
         hit_rows = np.zeros((2, 32), dtype=bool)
         hit_rows[0, :11] = True  # 4 + 4 + 3
@@ -172,24 +169,23 @@ class TestMacManyEquivalence:
         for h in hit_rows:
             seq.mac(inputs, row_mask=h)
         batch.mac_many(inputs, hit_rows)
+        seq_events, batch_events = seq.events, batch.events
         assert batch_events.counters_equal(seq_events)
         assert np.array_equal(
             batch_events.mac_rows_hist, seq_events.mac_rows_hist
         )
 
     def test_empty_batch_counts_nothing(self):
-        events = EventLog()
-        mac = _loaded_mac(events)
-        writes = events.mac_ops
+        mac = _loaded_mac()
+        writes = mac.events.mac_ops
         out = mac.mac_many(np.ones(32), np.zeros((0, 32), dtype=bool))
         assert out.shape == (0, 8)
-        assert events.mac_ops == writes
+        assert mac.events.mac_ops == writes
 
     def test_quantized_fallback_matches_sequential(self):
         rng = np.random.default_rng(11)
-        seq_events, batch_events = EventLog(), EventLog()
-        seq = MacCrossbar(rows=16, cols=4, exact=False, events=seq_events)
-        batch = MacCrossbar(rows=16, cols=4, exact=False, events=batch_events)
+        seq = MacCrossbar(rows=16, cols=4, exact=False)
+        batch = MacCrossbar(rows=16, cols=4, exact=False)
         weights = rng.uniform(-1.0, 1.0, size=(16, 4))
         seq.preset(weights)
         batch.preset(weights)
@@ -198,15 +194,14 @@ class TestMacManyEquivalence:
         expected = np.stack([seq.mac(inputs, row_mask=h) for h in hit_rows])
         got = batch.mac_many(inputs, hit_rows)
         assert np.array_equal(got, expected)
-        assert batch_events.counters_equal(seq_events)
+        assert batch.events.counters_equal(seq.events)
 
 
 class TestMacRowwiseManyEquivalence:
     def test_values_and_events_match_sequential(self):
         rng = np.random.default_rng(13)
-        seq_events, batch_events = EventLog(), EventLog()
-        seq = _loaded_mac(seq_events)
-        batch = _loaded_mac(batch_events)
+        seq = _loaded_mac()
+        batch = _loaded_mac()
         inputs = rng.uniform(-1.0, 1.0, size=(5, 8))
         hit_rows = rng.random((5, 32)) < 0.3
         cols = np.array([0, 1])
@@ -218,6 +213,7 @@ class TestMacRowwiseManyEquivalence:
         )
         got = batch.mac_rowwise_many(inputs, hit_rows, col_mask=cols)
         assert np.allclose(got, expected)
+        seq_events, batch_events = seq.events, batch.events
         assert batch_events.counters_equal(seq_events)
         assert np.array_equal(
             batch_events.mac_rows_hist, seq_events.mac_rows_hist
@@ -227,9 +223,9 @@ class TestMacRowwiseManyEquivalence:
 class TestMacBank:
     def test_matches_per_member_rowwise(self):
         rng = np.random.default_rng(17)
-        gang_events, seq_events = EventLog(), EventLog()
-        gang_macs = [_loaded_mac(gang_events, seed=s) for s in range(3)]
-        seq_macs = [_loaded_mac(seq_events, seed=s) for s in range(3)]
+        gang_board, seq_board = HwMonitor(), HwMonitor()
+        gang_macs = [_loaded_mac(gang_board, seed=s) for s in range(3)]
+        seq_macs = [_loaded_mac(seq_board, seed=s) for s in range(3)]
         bank = MacBank(gang_macs)
         member_ids = rng.integers(0, 3, size=9)
         inputs = rng.uniform(-1.0, 1.0, size=(9, 8))
@@ -243,16 +239,22 @@ class TestMacBank:
             ]
         )
         assert np.allclose(got, expected)
+        gang_events, seq_events = gang_board.events(), seq_board.events()
         assert gang_events.counters_equal(seq_events)
+        # Per-member attribution matches too, not just the totals.
+        assert np.array_equal(
+            gang_board.rows_hist(), seq_board.rows_hist()
+        )
         assert np.array_equal(
             gang_events.mac_rows_hist, seq_events.mac_rows_hist
         )
 
     def test_rejects_mixed_event_logs(self):
+        # Members on different counter boards cannot gang.
         with pytest.raises(ConfigError):
             MacBank([
-                MacCrossbar(rows=8, cols=4, events=EventLog()),
-                MacCrossbar(rows=8, cols=4, events=EventLog()),
+                MacCrossbar(rows=8, cols=4),
+                MacCrossbar(rows=8, cols=4),
             ])
 
     def test_rejects_empty(self):
@@ -283,7 +285,7 @@ class TestBatchedSearchProperty:
             ),
             dtype=np.int64,
         )
-        cam = EdgeCam(rows=24, vertex_bits=8, events=EventLog())
+        cam = EdgeCam(rows=24, vertex_bits=8)
         cam.load_edges(src, dst)
         queries = np.arange(41)
         hits = cam.search_many(queries, "dst")

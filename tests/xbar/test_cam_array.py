@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigError
-from repro.events import EventLog
 from repro.xbar import CamCrossbar, EdgeCam
 
 
@@ -41,18 +40,17 @@ class TestCamCrossbar:
         assert not cam.search(bits("1111")).any()
 
     def test_write_counts_events(self):
-        events = EventLog()
-        cam = CamCrossbar(rows=2, width_bits=8, events=events)
+        cam = CamCrossbar(rows=2, width_bits=8)
         cam.write_row(0, np.zeros(8, dtype=bool))
+        events = cam.events
         assert events.cam_row_writes == 1
         assert events.cam_cell_writes == 16  # two cells per bit
 
     def test_search_counts_events(self):
-        events = EventLog()
-        cam = CamCrossbar(rows=2, width_bits=4, events=events)
+        cam = CamCrossbar(rows=2, width_bits=4)
         cam.search(bits("0000"))
         cam.search(bits("1111"))
-        assert events.cam_searches == 2
+        assert cam.events.cam_searches == 2
 
     def test_write_out_of_bounds(self):
         with pytest.raises(CapacityError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.events import EventLog
+from repro.obs.hw import HwMonitor
 from repro.xbar import ADC, DAC
 
 
@@ -18,9 +18,9 @@ class TestDAC:
         assert np.array_equal(out, [0.0, 1.0, 3.0])
 
     def test_counts_conversions(self):
-        events = EventLog()
-        DAC(2, events=events).convert(np.array([0, 1, 2]))
-        assert events.dac_conversions == 3
+        dac = DAC(2)
+        dac.convert(np.array([0, 1, 2]))
+        assert dac.events.dac_conversions == 3
 
     def test_rejects_wide_codes(self):
         with pytest.raises(ConfigError):
@@ -70,9 +70,9 @@ class TestADC:
         assert adc.convert(np.array([0.5]))[0] == 2  # 0.5*3 = 1.5 -> 2
 
     def test_counts_conversions(self):
-        events = EventLog()
-        ADC(6, events=events).convert(np.zeros(5))
-        assert events.adc_conversions == 5
+        adc = ADC(6)
+        adc.convert(np.zeros(5))
+        assert adc.events.adc_conversions == 5
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigError):
@@ -85,17 +85,16 @@ class TestADCSaturation:
     """Clipping at ``max_code`` is counted, not silent."""
 
     def test_convert_counts_clipped_samples(self):
-        events = EventLog()
-        adc = ADC(6, events=events)
+        adc = ADC(6)
         out = adc.convert(np.array([100.0, 32.0, 64.0]))
         # Two samples above full scale clip to the max code.
-        assert events.adc_saturations == 2
+        assert adc.events.adc_saturations == 2
         assert out.tolist() == [63, 32, 63]
 
     def test_no_saturation_within_range(self):
-        events = EventLog()
-        ADC(6, events=events).convert(np.arange(64, dtype=float))
-        assert events.adc_saturations == 0
+        adc = ADC(6)
+        adc.convert(np.arange(64, dtype=float))
+        assert adc.events.adc_saturations == 0
 
     def test_clipped_codes_never_exceed_max_code(self):
         adc = ADC(4)
@@ -104,7 +103,7 @@ class TestADCSaturation:
         assert out.min() >= 0
 
     def test_saturates_agrees_with_convert_counting(self):
-        adc = ADC(6, events=EventLog())
+        adc = ADC(6)
         for value in (0.0, 48.0, 63.0, 63.6, 64.0, 500.0):
             before = adc.events.adc_saturations
             adc.convert(np.array([value]))
@@ -112,12 +111,11 @@ class TestADCSaturation:
             assert bool(clipped) == adc.saturates(value), value
 
     def test_hw_mirror_counts_saturations(self):
-        from repro.obs.hw import HwMonitor
-
+        # A converter sharing an array's slot charges that slot.
         monitor = HwMonitor()
-        adc = ADC(6, events=EventLog())
-        adc.hw = monitor.register("mac")
+        monitor.register("cam")
+        slot = monitor.register("mac")
+        adc = ADC(6, hw=monitor, slot=slot)
         adc.convert(np.array([100.0, 1.0]))
-        totals = monitor.totals()
-        assert totals["adc_conversions"] == 2
-        assert totals["adc_saturations"] == 1
+        assert monitor.counts("adc_conversions").tolist() == [0, 2]
+        assert monitor.counts("adc_saturations").tolist() == [0, 1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigError
-from repro.events import EventLog
 from repro.xbar import FixedPointFormat, MacCrossbar
 
 
@@ -21,16 +20,16 @@ class TestProgramming:
         assert stored[2, 3] == 5.0
 
     def test_write_counts(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         mac.write(np.array([0, 0, 1]), np.array([0, 1, 0]), np.ones(3))
+        events = mac.events
         assert events.row_writes == 2  # two distinct rows
         assert events.cell_writes == 3 * mac.bit_slices
 
     def test_write_rows(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         mac.write_rows(np.array([1, 3]), np.ones((2, 4)))
+        events = mac.events
         assert events.row_writes == 2
         assert events.cell_writes == 8 * mac.bit_slices
         assert np.array_equal(mac.stored_values()[1], np.ones(4))
@@ -48,9 +47,9 @@ class TestProgramming:
             make().write_rows(np.array([0]), np.ones((1, 3)))
 
     def test_preset_no_events(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         mac.preset(np.ones((8, 4)))
+        events = mac.events
         assert events.row_writes == 0
         assert events.cell_writes == 0
         assert mac.stored_values()[5, 2] == 1.0
@@ -84,25 +83,24 @@ class TestExactMac:
         assert out[0] == 0.0  # unengaged column stays zero
 
     def test_empty_mask_returns_zeros_no_events(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         out = mac.mac(np.ones(8), row_mask=np.zeros(8, dtype=bool))
         assert np.array_equal(out, np.zeros(4))
-        assert events.mac_ops == 0
+        assert mac.events.mac_ops == 0
 
     def test_accumulate_limit_splits_ops(self):
-        events = EventLog()
-        mac = make(rows=40, accumulate_limit=16, events=events)
+        mac = make(rows=40, accumulate_limit=16)
         mac.write(np.arange(40), np.zeros(40, dtype=int), np.ones(40))
         mac.mac(np.ones(40), row_mask=np.arange(40))
+        events = mac.events
         assert events.mac_ops == 3  # 16 + 16 + 8
         assert events.mac_rows_hist[16] == 2
         assert events.mac_rows_hist[8] == 1
 
     def test_events_per_op(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         mac.mac(np.ones(8), row_mask=np.array([0, 1, 2]), col_mask=np.array([0, 1]))
+        events = mac.events
         assert events.mac_ops == 1
         assert events.dac_conversions == 3
         assert events.adc_conversions == 2
@@ -155,11 +153,11 @@ class TestTransposedAndRowwise:
         assert out[1] == 0.0
 
     def test_rowwise_event_convention(self):
-        events = EventLog()
-        mac = make(events=events)
+        mac = make()
         mac.mac_rowwise(
             np.ones(4), row_mask=np.array([0, 1, 2]), col_mask=np.array([0, 1])
         )
+        events = mac.events
         assert events.mac_ops == 1
         assert events.mac_rows_hist[3] == 1
         assert events.adc_conversions == 2
@@ -210,13 +208,10 @@ class TestQuantizedMode:
         assert np.allclose(out[:3], [3.0, 4.5, 1.0])
 
     def test_quantized_counts_adc_per_slice_phase(self):
-        events = EventLog()
         fmt = FixedPointFormat(4, 0)  # 2 slices, 4 input phases
-        quant = MacCrossbar(
-            rows=4, cols=2, exact=False, value_format=fmt, events=events
-        )
+        quant = MacCrossbar(rows=4, cols=2, exact=False, value_format=fmt)
         quant.write(np.array([0]), np.array([0]), np.array([3.0]))
-        events_before = events.adc_conversions
+        events_before = quant.events.adc_conversions
         quant.mac(
             np.array([1.0, 0, 0, 0]),
             row_mask=np.array([0]),
@@ -224,7 +219,7 @@ class TestQuantizedMode:
         )
         # Input code 1 has one non-zero phase; 2 slices -> 2 ADC uses
         # inside the pipeline plus the op-level sample accounting.
-        assert events.adc_conversions > events_before
+        assert quant.events.adc_conversions > events_before
 
 
 class TestValidation:
