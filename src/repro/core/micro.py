@@ -1,10 +1,13 @@
 """Array-level micro engine: ground truth for the vectorized engine.
 
-:class:`MicroGaaSX` executes PageRank / BFS / SSSP by instantiating a
-real :class:`~repro.xbar.cam_array.EdgeCam` and
-:class:`~repro.xbar.mac_array.MacCrossbar` pair per occupied crossbar
-and driving the actual search / selective-MAC / SFU operations edge by
-edge. It is orders of magnitude slower than
+:class:`MicroGaaSX` executes PageRank / BFS / SSSP on real array
+models: each layout is loaded into a stacked
+:class:`~repro.xbar.cam_array.CamBank` and
+:class:`~repro.xbar.mac_array.MacBank` (one member per occupied
+crossbar, each charging its own board slots), and every superstep
+issues the actual search / selective-MAC / SFU operations as one gang
+call per bank — the lockstep broadcast of the paper's Figures 7 and 9.
+It is orders of magnitude slower than
 :class:`~repro.core.engine.GaaSXEngine` and exists for two reasons:
 
 * **Validation** — on any small graph, its :class:`EventLog` must be
@@ -23,7 +26,7 @@ shared units, not arrays.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +36,9 @@ from ..events import EventLog
 from ..graphs.graph import Graph
 from ..graphs.partition import partition_graph
 from ..obs.hw import HwMonitor
-from ..xbar.cam_array import CamBank, EdgeCam, pack_edge_keys
+from ..xbar.cam_array import CamBank, pack_edge_keys
 from ..xbar.cells import FixedPointFormat
-from ..xbar.mac_array import MacBank, MacCrossbar
+from ..xbar.mac_array import MacBank, MacCrossbar, hit_entries
 from .engine import default_interval_size
 from .loader import CrossbarLayout, build_layout
 from .reuse import (
@@ -46,70 +49,44 @@ from .reuse import (
 )
 
 
-class _CrossbarPair:
-    """One loaded CAM/MAC crossbar pair plus its edge bookkeeping."""
+class LoadedLayout(NamedTuple):
+    """One layout loaded into stacked CAM/MAC bank storage.
 
-    def __init__(
-        self,
-        config: ArchConfig,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weight: np.ndarray,
-        board: HwMonitor,
-        load_weights: bool,
-        search_field: str = "src",
-        exact: bool = True,
-        packed=None,
-    ) -> None:
-        # Each CAM field spans half the 128-bit row, matching the
-        # engine's cam_cell_writes = 2 bits-per-cell-pair x width.
-        self.cam = EdgeCam(
-            rows=config.cam_rows,
-            vertex_bits=config.cam_width_bits // 2,
-            hw=board,
-        )
-        self.mac = MacCrossbar(
-            rows=config.mac_rows,
-            cols=config.mac_cols,
-            value_format=FixedPointFormat(
-                config.value_bits, config.value_bits // 2
-            ),
-            cell_bits=config.cell_bits,
-            accumulate_limit=config.mac_accumulate_limit,
-            adc_bits=config.adc_bits,
-            exact=exact,
-            hw=board,
-        )
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-        # Distinct searched ids with their packed key encodings,
-        # precomputed once: every superstep searches a subset of these,
-        # never anything else, and the encodings never change. A warm
-        # build hands the content-keyed product in via ``packed``.
-        if packed is None:
-            searched = src if search_field == "src" else dst
-            self.search_vertices = np.unique(searched)
-            self.search_keys = self.cam.pack_keys(
-                self.search_vertices, search_field
-            )
-        else:
-            self.search_vertices, key_words, mask_words = packed
-            self.search_keys = (key_words, mask_words)
-        self.cam.load_edges(src, dst)
-        k = src.size
-        if load_weights:
-            self.mac.write(
-                np.arange(k), np.zeros(k, dtype=np.int64), weight
-            )
-        # Constant-1 column for the SpMV-add distance term (preset, no
-        # programming events).
-        ones = self.mac.stored_values()
-        ones[:, 1] = 1.0
-        if not load_weights:
-            # BFS: the weight column itself is preset to constant 1.
-            ones[:k, 0] = 1.0
-        self.mac.preset(ones)
+    Bank member ``x`` is crossbar ``x``. Edge ``e`` of the layout sits
+    in row ``row[e]`` of member ``layout.xbar_of_edge[e]``; ``src`` and
+    ``dst`` are the ``(members, rows)`` stored endpoint ids (-1 where
+    empty). The search keys are every member's distinct searched
+    vertices, member-major: ``key_member[i]`` / ``key_vertex[i]``, with
+    their packed CAM encodings.
+    """
+
+    layout: CrossbarLayout
+    cam: CamBank
+    mac: MacBank
+    row: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    key_member: np.ndarray
+    key_vertex: np.ndarray
+    key_words: np.ndarray
+    mask_words: np.ndarray
+
+
+def _search_keys(
+    layout: CrossbarLayout, field: str, vertex_bits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(key_member, key_vertex, key_words, mask_words)``: each
+    crossbar's distinct ``field`` ids, from one unique pass over
+    ``(crossbar, vertex)`` keys, packed in one call."""
+    searched = layout.src if field == "src" else layout.dst
+    span = int(searched.max()) + 1 if searched.size else 1
+    # Sort + boundary scan is np.unique; the keys arrive nearly sorted
+    # (crossbar-major), where it beats np.unique's hash path ~30x.
+    keys = np.sort(layout.xbar_of_edge * span + searched)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+    vertices = keys % span
+    key_words, mask_words = pack_edge_keys(vertices, field, vertex_bits)
+    return keys // span, vertices, key_words, mask_words
 
 
 class MicroGaaSX:
@@ -130,10 +107,10 @@ class MicroGaaSX:
         quantization error instead of matching references exactly.
 
         ``hw`` takes the :class:`repro.obs.hw.HwMonitor` the crossbars
-        count on: every crossbar pair registers a ``cam``/``mac`` array
-        slot on it and the algorithms close one timeline bin per
-        superstep on it. Without one, each run counts on a private
-        board and records no timeline.
+        count on: every loaded crossbar registers a ``cam`` then a
+        ``mac`` array slot on it, in crossbar order, and the algorithms
+        close one timeline bin per superstep on it. Without one, each
+        run counts on a private board and records no timeline.
         Either way a run's :class:`EventLog` holds that run's events
         only.
 
@@ -168,49 +145,72 @@ class MicroGaaSX:
         self,
         order: str,
         board: HwMonitor,
-        load_weights: bool,
         search_field: str,
-    ) -> Tuple[CrossbarLayout, list]:
-        layout = build_layout(self._grid, order, self.config)
+        weights: Optional[Callable[[CrossbarLayout], np.ndarray]],
+    ) -> LoadedLayout:
+        """Load the ``order`` layout into bank storage in one pass.
+
+        Every crossbar registers a ``cam`` then a ``mac`` slot on
+        ``board``, so the per-bank index is the crossbar id. Each CAM
+        member holds its crossbar's ``(src, dst)`` rows; each MAC
+        member has the constant-1 SpMV-add column 1 preset (no
+        programming events) and column 0 either programmed with
+        ``weights(layout)`` per edge row — charged like
+        :meth:`~repro.xbar.mac_array.MacCrossbar.write` — or, when
+        ``weights`` is None (BFS), preset to constant 1 as well.
+        """
+        config = self.config
+        layout = build_layout(self._grid, order, config)
+        members = layout.num_xbars
+        member = layout.xbar_of_edge
+        # Crossbar ids are sorted in load order, so each crossbar's
+        # edges are one contiguous run: row = offset into its run.
+        counts = np.bincount(member, minlength=members)
+        starts = np.cumsum(counts) - counts
+        row = np.arange(member.size) - starts[member]
+        slots = board.register_many(
+            ["cam", "mac"] * members,
+            accumulate_limit=config.mac_accumulate_limit,
+        ).reshape(members, 2)
+        vertex_bits = config.cam_width_bits // 2
+        cam = CamBank.load_edges(
+            board, slots[:, 0], config.cam_rows, vertex_bits,
+            member, row, layout.src, layout.dst,
+        )
+        # Geometry and numeric mode of every MAC member.
+        like = MacCrossbar(
+            rows=config.mac_rows,
+            cols=config.mac_cols,
+            value_format=FixedPointFormat(
+                config.value_bits, config.value_bits // 2
+            ),
+            cell_bits=config.cell_bits,
+            accumulate_limit=config.mac_accumulate_limit,
+            adc_bits=config.adc_bits,
+            exact=not self.quantized,
+        )
+        preset = np.zeros((members, config.mac_rows, config.mac_cols))
+        preset[:, :, 1] = 1.0
+        if weights is None:
+            preset[member, row, 0] = 1.0
+        mac = MacBank.preset_stack(like, board, slots[:, 1], preset)
+        if weights is not None:
+            mac.write(member, row, 0, weights(layout))
+        stored = np.full((2, members, config.cam_rows), -1, dtype=np.int64)
+        stored[0, member, row] = layout.src
+        stored[1, member, row] = layout.dst
         token = self._token(order)
-        vertex_bits = self.config.cam_width_bits // 2
-        pairs = []
-        for x in range(layout.num_xbars):
-            sel = layout.xbar_of_edge == x
-            src = layout.src[sel]
-            dst = layout.dst[sel]
-            packed = None
-            if token is not None:
-                # Content-keyed packed keys: a warm rebuild of the same
-                # graph/layout/config skips the np.unique + bit packing
-                # per crossbar (and a mutated graph's untouched shards
-                # keep theirs via reuse migration).
-                searched = src if search_field == "src" else dst
-
-                def _pack(searched=searched):
-                    vertices = np.unique(searched)
-                    key_words, mask_words = pack_edge_keys(
-                        vertices, search_field, vertex_bits
-                    )
-                    return vertices, key_words, mask_words
-
-                packed = self._reuse.packed_keys(
-                    token, x, search_field, _pack
-                )
-            pairs.append(
-                _CrossbarPair(
-                    self.config,
-                    src,
-                    dst,
-                    layout.weight[sel],
-                    board,
-                    load_weights,
-                    search_field=search_field,
-                    exact=not self.quantized,
-                    packed=packed,
-                )
+        if token is None:
+            keys = _search_keys(layout, search_field, vertex_bits)
+        else:
+            # Content-keyed packed keys, one entry per layout and
+            # field: a warm rebuild of the same graph/layout/config
+            # skips the np.unique + bit packing.
+            keys = self._reuse.packed_keys(
+                token, "layout", search_field,
+                lambda: _search_keys(layout, search_field, vertex_bits),
             )
-        return layout, pairs
+        return LoadedLayout(layout, cam, mac, row, stored[0], stored[1], *keys)
 
     # ------------------------------------------------------------------
     def pagerank(
@@ -223,49 +223,49 @@ class MicroGaaSX:
         events = EventLog()
         out_deg = self.graph.out_degrees().astype(np.float64)
         inv = np.divide(1.0, out_deg, out=np.zeros(n), where=out_deg > 0)
-        layout, pairs = self._build(
-            "col", board, load_weights=False, search_field="dst"
-        )
         # MAC column 0 holds 1/OutDeg(src) per edge row (counted as the
         # per-edge attribute write, like the engine's loader).
-        for pair in pairs:
-            k = pair.src.size
-            pair.mac.write(
-                np.arange(k), np.zeros(k, dtype=np.int64), inv[pair.src]
-            )
+        loaded = self._build(
+            "col", board, "dst", lambda layout: inv[layout.src]
+        )
+        layout = loaded.layout
+        member = layout.xbar_of_edge
         ranks = np.ones(n)
         col0 = np.array([0])
-        inputs = np.zeros(self.config.mac_rows)
+        inputs = np.zeros(loaded.src.shape)
         token = self._token("col")
         if token is not None:
-            # PageRank searches every pair's full destination set every
-            # iteration: one fingerprint per pair covers the whole run.
-            pair_fps = [
-                frontier_fingerprint(pair.search_vertices) for pair in pairs
-            ]
+            # PageRank searches every crossbar's full destination set
+            # every iteration: one gang entry covers the whole run.
+            gang_fp = frontier_fingerprint(
+                np.ones(loaded.key_member.size, dtype=bool)
+            )
         for _ in range(iterations):
-            contrib = np.zeros(n)
-            for i, pair in enumerate(pairs):
-                inputs[: pair.src.size] = ranks[pair.src]
-                inputs[pair.src.size :] = 0.0
-                events.buffer_reads += int(pair.src.size)  # rank reads
-                # One batched broadcast: every destination group's CAM
-                # search, then its selective MAC, in one call each.
-                # The search result is constant across iterations, so
-                # after the first it comes from the reuse cache with
-                # the identical events charged (charge_search).
-                hits = None
+            inputs[member, loaded.row] = ranks[layout.src]
+            events.buffer_reads += layout.num_edges  # rank reads
+            # One lockstep broadcast: every crossbar's destination
+            # searches, then their selective MACs, in one gang call
+            # each. The search result is constant across iterations,
+            # so after the first it comes from the reuse cache with
+            # the identical events charged (charge_search).
+            hits = None
+            if token is not None:
+                hits = self._reuse.lookup(token, "gang", gang_fp)
+            if hits is None:
+                hits = loaded.cam.search_packed(
+                    loaded.key_member, loaded.key_words, loaded.mask_words
+                )
                 if token is not None:
-                    hits = self._reuse.lookup(token, i, pair_fps[i])
-                if hits is None:
-                    hits = pair.cam.search_packed(*pair.search_keys)
-                    if token is not None:
-                        self._reuse.store(token, i, pair_fps[i], hits)
-                else:
-                    pair.cam.charge_search(int(pair.search_vertices.size))
-                summed = pair.mac.mac_many(inputs, hits, col_mask=col0)
-                contrib[pair.search_vertices] += summed[:, 0]
-                events.sfu_ops += int(pair.search_vertices.size)  # accums
+                    self._reuse.store(token, "gang", gang_fp, hits)
+            else:
+                loaded.cam.charge_search(loaded.key_member)
+            summed = loaded.mac.mac_many(
+                loaded.key_member, inputs, hits, col_mask=col0
+            )
+            contrib = np.bincount(
+                loaded.key_vertex, weights=summed[:, 0], minlength=n
+            )
+            events.sfu_ops += int(loaded.key_vertex.size)  # accums
             ranks = (1.0 - alpha) + alpha * contrib
             events.sfu_ops += 2 * n  # damping affine per vertex
             events.buffer_writes += n
@@ -283,31 +283,15 @@ class MicroGaaSX:
         board = self._board()
         since = board.snapshot()
         events = EventLog()
-        _layout, pairs = self._build(
-            "row", board, load_weights=weighted, search_field="src"
+        loaded = self._build(
+            "row", board, "src",
+            (lambda layout: layout.weight) if weighted else None,
         )
-        # Gang the loaded pairs: the hardware searches every crossbar
-        # in parallel, so one bank call per superstep resolves all the
-        # active sources' searches (and their selective MACs) at once.
-        # Banks snapshot array contents — safe here because traversal
-        # never reloads a pair after the initial edge load.
-        if pairs:
-            cam_bank = CamBank([pair.cam.cam for pair in pairs])
-            mac_bank = MacBank([pair.mac for pair in pairs])
-            all_src = np.concatenate(
-                [pair.search_vertices for pair in pairs]
-            )
-            member = np.repeat(
-                np.arange(len(pairs)),
-                [pair.search_vertices.size for pair in pairs],
-            )
-            key_words = np.concatenate(
-                [pair.search_keys[0] for pair in pairs], axis=0
-            )
-            mask_words = pairs[0].search_keys[1]
-            dst_rows = np.stack([pair.cam.stored_dst() for pair in pairs])
-        else:
-            all_src = np.empty(0, dtype=np.int64)
+        # The hardware searches every crossbar in parallel, so one bank
+        # call per superstep resolves all the active sources' searches
+        # (and their selective MACs) at once.
+        all_src = loaded.key_vertex
+        member = loaded.key_member
         dist = np.full(n, np.inf)
         dist[source] = 0.0
         active = np.zeros(n, dtype=bool)
@@ -331,26 +315,26 @@ class MicroGaaSX:
                     step_fp = frontier_fingerprint(sel)
                     hits = self._reuse.lookup(token, "gang", step_fp)
                 if hits is None:
-                    hits = cam_bank.search_packed(
-                        mem, key_words[sel], mask_words
+                    hits = loaded.cam.search_packed(
+                        mem, loaded.key_words[sel], loaded.mask_words
                     )
                     if token is not None:
                         self._reuse.store(token, "gang", step_fp, hits)
                 else:
-                    cam_bank.charge_search(mem)
+                    loaded.cam.charge_search(mem)
                 # alpha=1 drives the weight column, dist(u) drives the
                 # constant-1 column (Figure 9b) — one input row per
                 # active source, one gang MAC for the whole superstep.
                 inputs = np.zeros((searches, self.config.mac_cols))
                 inputs[:, 0] = 1.0
                 inputs[:, 1] = dist[srcs]
-                cand = mac_bank.mac_rowwise_many(
+                cand = loaded.mac.mac_rowwise_many(
                     mem, inputs, hits, col_mask=cols01
                 )
-                query, rows = np.nonzero(hits)
+                query, rows = hit_entries(hits)
                 candidates_count = int(rows.size)
                 np.minimum.at(
-                    new_dist, dst_rows[mem[query], rows], cand[query, rows]
+                    new_dist, loaded.dst[mem[query], rows], cand[query, rows]
                 )
             improved_any = new_dist < dist
             events.buffer_reads += searches  # dist(u) per search

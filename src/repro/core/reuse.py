@@ -7,23 +7,28 @@ the same searches run after run. This module is the process-wide memo
 layer that exploits that recurrence:
 
 * **Hit-vector tier** — per ``(content token, array unit, frontier
-  fingerprint)`` CAM hit vectors. :class:`~repro.core.micro.MicroGaaSX`
-  consults it before every ``search_packed`` broadcast; a hit returns
-  the stored matrix and charges exactly the events the search would
-  have charged (:meth:`~repro.xbar.cam_array.CamCrossbar.charge_search`),
-  so the :class:`~repro.events.EventLog` and per-array hardware
-  counters are — by construction — identical with and without
-  memoization. Only the packed-word fold is skipped: memoization is a
-  simulation speedup, not a hardware semantic change.
-* **Packed-key tier** — per ``(content token, array unit, field)``
-  ``pack_keys`` products, so content-identical graphs never re-encode
-  their searched vertex sets.
+  fingerprint)`` CAM hit matrices. :class:`~repro.core.micro.MicroGaaSX`
+  consults it before every gang ``search_packed`` broadcast, under the
+  layout-wide unit ``"gang"`` keyed by the searched-key activity mask
+  (PageRank searches every key, so one entry covers its whole run); a
+  hit returns the stored matrix and charges exactly the events the
+  search would have charged
+  (:meth:`~repro.xbar.cam_array.CamBank.charge_search`), so the
+  :class:`~repro.events.EventLog` and per-array hardware counters are —
+  by construction — identical with and without memoization. Only the
+  packed-word fold is skipped: memoization is a simulation speedup,
+  not a hardware semantic change.
+* **Packed-key tier** — per ``(content token, unit, field)`` products;
+  the micro engine keeps one ``"layout"`` entry per layout and field
+  (every crossbar's distinct searched ids and their packed keys), so
+  content-identical graphs never re-encode their searched vertex sets.
 * **Invalidation** — content tokens embed the graph fingerprint, so a
   mutated graph can never read a stale entry. :func:`migrate_for_mutation`
-  goes further: entries for crossbars whose sub-shard an edge mutation
-  did *not* touch are re-keyed to the new token (the warm state
-  survives), while entries for touched sub-shards are dropped and
-  counted as invalidations.
+  goes further: entries keyed by a crossbar index whose sub-shard an
+  edge mutation did *not* touch are re-keyed to the new token (the
+  warm state survives), while entries for touched sub-shards — and
+  every layout-wide entry, which now includes all of the micro
+  engine's — are dropped and counted as invalidations.
 
 Counters ``reuse.hits`` / ``reuse.misses`` / ``reuse.invalidations``
 are mirrored into the process metrics registry (and therefore the
@@ -468,10 +473,13 @@ def migrate_for_mutation(
     For each warmed streaming order, crossbars whose sub-shard the
     mutation did not touch (same shard key, same edge count, no
     mutated edge inside) hold byte-identical contents in the new
-    layout — their packed keys and hit vectors are re-keyed from the
-    old content token to the new one. Touched crossbars, and
-    layout-wide entries (e.g. traversal gang searches spanning every
-    crossbar), are dropped and counted as ``reuse.invalidations``.
+    layout — entries keyed by such a crossbar index are re-keyed from
+    the old content token to the new one. Touched crossbars, and
+    layout-wide entries, are dropped and counted as
+    ``reuse.invalidations``. Every micro-engine entry is layout-wide
+    (its packed keys, PageRank's gang hit matrix and the traversal
+    gang searches each span every crossbar), so a mutation drops them
+    all.
     """
     interval_size = old_grid.partition.interval_size
     touched = affected_shard_keys(

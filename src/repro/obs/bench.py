@@ -293,10 +293,10 @@ def _traversal_superstep_workload() -> Workload:
 def _micro_traversal_workload() -> Workload:
     """Array-level simulator end to end: crossbar load + CAM/MAC SSSP.
 
-    Times :class:`~repro.core.micro.MicroGaaSX` building every
-    CAM/MAC pair (``EdgeCam.load_edges`` programming) and running a
-    full SSSP through the real search / selective-MAC path. Fixed-size
-    graph, profile-independent.
+    Times :class:`~repro.core.micro.MicroGaaSX` loading the layout
+    into its stacked CAM/MAC banks (one vectorized programming pass)
+    and running a full SSSP through the real gang search /
+    selective-MAC path. Fixed-size graph, profile-independent.
     """
 
     def setup(_profile: str):

@@ -172,18 +172,32 @@ class HwMonitor:
         ``accumulate_limit``: the board's occupancy bound is the largest
         one registered.
         """
-        index = self._bank_sizes.get(bank, 0)
-        self._bank_sizes[bank] = index + 1
-        slot = self._n
-        if slot >= self._counts.shape[0]:
+        return int(self.register_many([bank], accumulate_limit)[0])
+
+    def register_many(
+        self, banks: Sequence[str], accumulate_limit: int = 0
+    ) -> np.ndarray:
+        """Allocate one board row per entry of ``banks``, in order;
+        returns their slots.
+
+        The same as calling :meth:`register` once per entry, without
+        the per-call overhead; ``accumulate_limit`` is the bound of the
+        MAC arrays among them.
+        """
+        first = self._n
+        while first + len(banks) > self._counts.shape[0]:
             self._grow_slots()
-        self._banks.append(str(bank))
-        self._indices.append(int(index))
-        self._n += 1
+        sizes = self._bank_sizes
+        for bank in banks:
+            index = sizes.get(bank, 0)
+            sizes[bank] = index + 1
+            self._banks.append(str(bank))
+            self._indices.append(index)
+        self._n += len(banks)
         if accumulate_limit:
             self._limit = max(self._limit, int(accumulate_limit))
             self._grow_hist_width(self._limit + 1)
-        return slot
+        return np.arange(first, self._n, dtype=np.int64)
 
     def _grow_slots(self) -> None:
         capacity = 2 * self._counts.shape[0]

@@ -42,8 +42,16 @@ def encode_ids(values: np.ndarray, bits: int) -> np.ndarray:
         if low < 0 or (bits < 64 and high >= (1 << bits)):
             bad = low if low < 0 else high
             raise ConfigError(f"value {bad} does not fit in {bits} bits")
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts) & 1).astype(bool)
+    # Big-endian bytes unpack to the 64 bits MSB first; keep the low
+    # ``bits`` of them (zero-extended past 64).
+    raw = np.unpackbits(
+        values.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1
+    ).view(bool)
+    if bits <= 64:
+        return raw[:, 64 - bits :]
+    return np.concatenate(
+        [np.zeros((raw.shape[0], bits - 64), dtype=bool), raw], axis=1
+    )
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -251,16 +259,19 @@ class CamCrossbar:
 
 
 class CamBank:
-    """Lockstep gang view over same-geometry CAM crossbars.
+    """Lockstep gang of same-geometry CAM crossbars in stacked storage.
 
     GaaS-X broadcasts a superstep's searches to every crossbar in
-    parallel (Figure 7); a bank snapshots its members' packed words so
-    one :meth:`search_packed` call resolves a batch of searches routed
-    to *different* members without a Python loop per crossbar. Members
-    must share one counter board, and each member is charged exactly
-    what issuing the same searches member by member would charge. The
-    snapshot is taken at construction — rebuild the bank after
-    reloading any member.
+    parallel (Figure 7); a bank holds its members' packed words in one
+    ``(members, rows, words)`` tensor so one :meth:`search_packed` call
+    resolves a batch of searches routed to *different* members without
+    a Python loop per crossbar. Members share one counter board, and
+    each member is charged exactly what issuing the same searches
+    member by member would charge.
+
+    A bank either snapshots existing arrays (the constructor — rebuild
+    it after reloading any of them) or is loaded bank-native
+    (:meth:`load_edges`).
     """
 
     def __init__(self, cams: Sequence[CamCrossbar]) -> None:
@@ -277,6 +288,55 @@ class CamBank:
         self._slots = np.array([cam.slot for cam in cams], dtype=np.int64)
         self._words = np.stack([cam._words for cam in cams])
         self._valid = np.stack([cam._valid for cam in cams])
+
+    @classmethod
+    def load_edges(
+        cls,
+        hw: HwMonitor,
+        slots: np.ndarray,
+        rows: int,
+        vertex_bits: int,
+        member_ids: np.ndarray,
+        row_indices: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+    ) -> "CamBank":
+        """A bank-native edge-CAM bank in one vectorized pass.
+
+        Member ``m`` charges ``slots[m]`` of ``hw``; edge ``i`` is
+        written to row ``row_indices[i]`` of member ``member_ids[i]``
+        in the :class:`EdgeCam` layout. Every edge's words are encoded
+        and packed in one call and scattered into the stacked storage,
+        and each member is charged what :meth:`EdgeCam.load_edges` of
+        its own edges charges.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        member_ids = np.asarray(member_ids, dtype=np.int64)
+        row_indices = np.asarray(row_indices, dtype=np.int64)
+        if row_indices.size and (
+            row_indices.min() < 0 or row_indices.max() >= rows
+        ):
+            raise CapacityError(f"edge rows exceed CAM capacity {rows}")
+        width_bits = 2 * vertex_bits
+        patterns = np.concatenate(
+            [encode_ids(src, vertex_bits), encode_ids(dst, vertex_bits)],
+            axis=1,
+        )
+        words = _pack_words(patterns)
+        bank = cls.__new__(cls)
+        bank.hw = hw
+        bank._slots = slots
+        bank._words = np.zeros(
+            (slots.size, rows, -(-width_bits // 64)), dtype=np.uint64
+        )
+        bank._words[member_ids, row_indices] = words
+        bank._valid = np.zeros((slots.size, rows), dtype=bool)
+        bank._valid[member_ids, row_indices] = True
+        charged = slots[member_ids]
+        hw.add(charged, "cam_row_writes", 1)
+        # Each TCAM bit uses two complementary cells.
+        hw.add(charged, "cam_cell_writes", 2 * width_bits)
+        return bank
 
     @property
     def events(self) -> EventLog:
@@ -318,22 +378,16 @@ class CamBank:
                 self._words.shape[2], ~np.uint64(0), dtype=np.uint64
             )
         self.charge_search(member_ids)
-        # Same lane-skipping fold as the single-array fast path: only
-        # lanes with a nonzero mask word can mismatch, and each lane is
-        # gathered per query as a 2D slice.
-        lanes = np.flatnonzero(mask_words != 0)
-        if lanes.size == 0:
-            return self._valid[member_ids]
-        folded = (
-            self._words[:, :, lanes[0]][member_ids]
-            ^ key_words[:, lanes[0], None]
-        ) & mask_words[lanes[0]]
-        for lane in lanes[1:]:
-            folded = folded | (
-                (self._words[:, :, lane][member_ids] ^ key_words[:, lane, None])
-                & mask_words[lane]
-            )
-        return (folded == 0) & self._valid[member_ids]
+        # Only lanes with a nonzero mask word can mismatch. Per lane, a
+        # row matches when its masked word equals the masked key: the
+        # stored lane is masked once for every member, then gathered
+        # per query and compared straight to a boolean.
+        hits = self._valid[member_ids]
+        for lane in np.flatnonzero(mask_words != 0):
+            mask = mask_words[lane]
+            stored = self._words[:, :, lane] & mask
+            hits &= stored[member_ids] == (key_words[:, lane] & mask)[:, None]
+        return hits
 
 
 class EdgeCam:

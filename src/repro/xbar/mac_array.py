@@ -56,6 +56,45 @@ def split_macs(hit_counts: np.ndarray, limit: int):
     return op_rows, np.concatenate([full_query, partial])
 
 
+def hit_entries(hit_rows: np.ndarray):
+    """``(query, row)`` of every enabled entry of a ``(q, rows)`` hit
+    matrix, row-major — :func:`numpy.nonzero`, via a flat scan."""
+    flat = np.flatnonzero(hit_rows)
+    return np.divmod(flat, hit_rows.shape[1])
+
+
+def _bit_serial_mac(
+    fmt: FixedPointFormat,
+    cell_bits: int,
+    codes: np.ndarray,
+    inputs: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    adc: ADC,
+) -> np.ndarray:
+    """Bit-serial, bit-sliced MAC of one accumulation chunk through the
+    real ADC path: ``rows`` x ``cols`` of the stored ``codes`` against
+    ``inputs[rows]``, every per-phase per-slice sum digitized by
+    ``adc`` (which charges its own slot)."""
+    slices = fmt.total_bits // cell_bits
+    in_codes = fmt.quantize(inputs[rows])  # (k,)
+    w_slices = slice_values(
+        codes[np.ix_(rows, cols)], cell_bits, slices
+    )  # (k, m, slices) most-significant first
+    total = np.zeros(cols.size, dtype=np.int64)
+    for phase in range(fmt.total_bits - 1, -1, -1):
+        bits = (in_codes >> phase) & 1  # (k,)
+        if not bits.any():
+            continue
+        for s in range(slices):
+            analog = bits @ w_slices[:, :, s]  # per-column sums
+            digital = adc.convert(analog)
+            shift = phase + (slices - 1 - s) * cell_bits
+            total += digital.astype(np.int64) << shift
+    # Combined scale: input frac bits + weight frac bits.
+    return total / (fmt.scale * fmt.scale)
+
+
 class MacCrossbar:
     """A single MAC-capable crossbar array.
 
@@ -211,7 +250,10 @@ class MacCrossbar:
             if self.exact:
                 partial = inputs[chunk] @ self._weights[np.ix_(chunk, cols)]
             else:
-                partial = self._quantized_mac(inputs, chunk, cols)
+                partial = _bit_serial_mac(
+                    self.fmt, self.cell_bits, self._codes, inputs, chunk,
+                    cols, self._adc,
+                )
             out[cols] += partial
         return out
 
@@ -394,27 +436,6 @@ class MacCrossbar:
     # ------------------------------------------------------------------
     # Quantized pipeline
     # ------------------------------------------------------------------
-    def _quantized_mac(
-        self, inputs: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Bit-serial, bit-sliced MAC through the real ADC path."""
-        in_codes = self.fmt.quantize(inputs[rows])  # (k,)
-        w_slices = slice_values(
-            self._codes[np.ix_(rows, cols)], self.cell_bits, self.bit_slices
-        )  # (k, m, slices) most-significant first
-        total = np.zeros(cols.size, dtype=np.int64)
-        for phase in range(self.fmt.total_bits - 1, -1, -1):
-            bits = (in_codes >> phase) & 1  # (k,)
-            if not bits.any():
-                continue
-            for s in range(self.bit_slices):
-                analog = bits @ w_slices[:, :, s]  # per-column sums
-                digital = self._adc.convert(analog)
-                shift = phase + (self.bit_slices - 1 - s) * self.cell_bits
-                total += digital.astype(np.int64) << shift
-        # Combined scale: input frac bits + weight frac bits.
-        return total / (self.fmt.scale * self.fmt.scale)
-
     def _quantized_mac_t(
         self, inputs: np.ndarray, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
@@ -437,16 +458,19 @@ class MacCrossbar:
 
 
 class MacBank:
-    """Lockstep gang view over same-geometry MAC crossbars.
+    """Lockstep gang of same-geometry MAC crossbars in stacked storage.
 
-    The row-wise companion of :class:`~repro.xbar.cam_array.CamBank`:
-    it snapshots its members' stored weights so one
-    :meth:`mac_rowwise_many` call resolves a batch of per-row MACs
-    routed to *different* member arrays without a Python loop per
-    crossbar. Members must share one counter board; each member is
-    charged exactly what issuing the same queries member by member
-    would charge. The snapshot is taken at construction — rebuild the
-    bank after reprogramming any member.
+    The MAC companion of :class:`~repro.xbar.cam_array.CamBank`: member
+    weights live in one ``(members, rows, cols)`` tensor, so one
+    :meth:`mac_many` / :meth:`mac_rowwise_many` call resolves a batch of
+    MACs routed to *different* members without a Python loop per
+    crossbar. Members share one counter board and each is charged, on
+    its own slot, exactly what issuing the same operations member by
+    member would charge.
+
+    A bank either snapshots existing arrays (the constructor — rebuild
+    it after reprogramming any of them) or is bank-native
+    (:meth:`preset_stack`), programmed through :meth:`write`.
     """
 
     def __init__(self, macs: Sequence[MacCrossbar]) -> None:
@@ -459,6 +483,7 @@ class MacBank:
                 mac.rows != first.rows
                 or mac.cols != first.cols
                 or mac.accumulate_limit != first.accumulate_limit
+                or mac.exact != first.exact
             ):
                 raise ConfigError("bank members must share one geometry")
             if mac.hw is not first.hw:
@@ -467,11 +492,179 @@ class MacBank:
         self.hw = first.hw
         self._slots = np.array([mac.slot for mac in macs], dtype=np.int64)
         self._weights = np.stack([mac._weights for mac in macs])
+        self._codes = (
+            None if first.exact else np.stack([mac._codes for mac in macs])
+        )
+
+    @classmethod
+    def preset_stack(
+        cls,
+        like: MacCrossbar,
+        hw: HwMonitor,
+        slots: np.ndarray,
+        values: np.ndarray,
+    ) -> "MacBank":
+        """A bank-native bank: member ``m`` charges ``slots[m]`` of
+        ``hw`` and holds ``values[m]``, preset without programming
+        events (:meth:`MacCrossbar.preset`).
+
+        ``like`` supplies the geometry and numeric mode only; its own
+        board and contents are not used. In exact mode the bank adopts
+        ``values`` (shape ``(members, rows, cols)``) as its storage, and
+        stores no fixed-point codes — only the quantized pipeline reads
+        them.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if values.shape != (slots.size, like.rows, like.cols):
+            raise ConfigError(
+                f"preset expects shape ({slots.size}, {like.rows}, "
+                f"{like.cols})"
+            )
+        bank = cls.__new__(cls)
+        bank._ref = like
+        bank.hw = hw
+        bank._slots = slots
+        if like.exact:
+            bank._codes = None
+            bank._weights = values
+        else:
+            bank._codes = like.fmt.quantize(values)
+            bank._weights = like.fmt.dequantize(bank._codes)
+        return bank
 
     @property
     def events(self) -> EventLog:
         """The shared board's column sums."""
         return self.hw.events()
+
+    def write(
+        self,
+        member_ids: np.ndarray,
+        row_indices: np.ndarray,
+        col_indices: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Scattered write: entry ``i`` programs cell ``(row_indices[i],
+        col_indices[i])`` of member ``member_ids[i]`` (a scalar
+        ``col_indices`` applies to every entry).
+
+        Each member is charged what :meth:`MacCrossbar.write` of its own
+        entries charges: one row write per distinct row it touches and
+        ``bit_slices`` programmed cells per value.
+        """
+        ref = self._ref
+        member_ids = np.asarray(member_ids, dtype=np.int64)
+        row_indices = np.asarray(row_indices, dtype=np.int64)
+        col_indices = np.broadcast_to(
+            np.asarray(col_indices, dtype=np.int64), row_indices.shape
+        )
+        values = np.asarray(values, dtype=np.float64)
+        if not (member_ids.shape == row_indices.shape == values.shape):
+            raise ConfigError("write arrays must have matching shapes")
+        if row_indices.size and (
+            row_indices.max() >= ref.rows or col_indices.max() >= ref.cols
+        ):
+            raise CapacityError("write outside crossbar bounds")
+        cells = (member_ids, row_indices, col_indices)
+        codes = ref.fmt.quantize(values)
+        if self._codes is not None:
+            self._codes[cells] = codes
+        self._weights[cells] = (
+            values if ref.exact else ref.fmt.dequantize(codes)
+        )
+        touched = np.zeros(self._weights.shape[:2], dtype=bool)
+        touched[member_ids, row_indices] = True
+        self.hw.add(self._slots[np.nonzero(touched)[0]], "row_writes", 1)
+        self.hw.add(self._slots[member_ids], "cell_writes", ref.bit_slices)
+
+    def _check_queries(
+        self, member_ids: np.ndarray, hit_rows: np.ndarray
+    ) -> None:
+        rows = self._ref.rows
+        if hit_rows.ndim != 2 or hit_rows.shape[1] != rows:
+            raise ConfigError(f"hit matrix must have {rows} columns")
+        if member_ids.shape != (hit_rows.shape[0],):
+            raise ConfigError("need exactly one member id per query")
+
+    def mac_many(
+        self,
+        member_ids: np.ndarray,
+        inputs: np.ndarray,
+        hit_rows: np.ndarray,
+        col_mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Gang selective MAC: query ``i`` runs on ``member_ids[i]``.
+
+        ``inputs`` has shape ``(members, rows)`` — each member's word
+        line inputs — and ``hit_rows`` shape ``(q, rows)``. Row ``i`` of
+        the ``(q, cols)`` result is what member ``member_ids[i]``'s
+        :meth:`MacCrossbar.mac_many` returns for ``hit_rows[i]`` under
+        its inputs row (exact mode: up to partial-sum association
+        order), with identical per-member events: :func:`split_macs`
+        chunks every query at the accumulation limit. Quantized mode
+        runs each chunk through the bit-serial ADC pipeline, whose
+        conversions charge the member's slot.
+        """
+        ref = self._ref
+        member_ids = np.asarray(member_ids, dtype=np.int64)
+        inputs = np.asarray(inputs, dtype=np.float64)
+        hit_rows = np.asarray(hit_rows, dtype=bool)
+        self._check_queries(member_ids, hit_rows)
+        if inputs.shape != (self._slots.size, ref.rows):
+            raise ConfigError(
+                f"inputs must have shape ({self._slots.size}, {ref.rows})"
+            )
+        cols = ref._normalize_mask(col_mask, ref.cols)
+        out = np.zeros((hit_rows.shape[0], ref.cols), dtype=np.float64)
+        if hit_rows.shape[0] == 0 or cols.size == 0:
+            return out
+        # Sparse over the hit entries: each query enables a handful of
+        # rows, so the work is O(hits), never O(q x rows x cols).
+        query, rows = hit_entries(hit_rows)
+        op_rows, op_query = split_macs(
+            np.bincount(query, minlength=hit_rows.shape[0]),
+            ref.accumulate_limit,
+        )
+        self.hw.record_macs(
+            self._slots[member_ids[op_query]], op_rows, int(cols.size)
+        )
+        if not ref.exact:
+            self._bit_serial_many(member_ids, inputs, query, rows, cols, out)
+            return out
+        members = member_ids[query]
+        products = (
+            inputs[members, rows][:, None]
+            * self._weights[members[:, None], rows[:, None], cols]
+        )
+        for j, col in enumerate(cols):
+            out[:, col] = np.bincount(
+                query, weights=products[:, j], minlength=out.shape[0]
+            )
+        return out
+
+    def _bit_serial_many(
+        self,
+        member_ids: np.ndarray,
+        inputs: np.ndarray,
+        query: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Quantized :meth:`mac_many` values, one query at a time."""
+        ref = self._ref
+        limit = ref.accumulate_limit
+        bounds = np.searchsorted(query, np.arange(out.shape[0] + 1))
+        for i in np.flatnonzero(np.diff(bounds)):
+            member = member_ids[i]
+            lines = rows[bounds[i] : bounds[i + 1]]
+            adc = ADC(ref._adc.bits, hw=self.hw, slot=int(self._slots[member]))
+            for start in range(0, lines.size, limit):
+                out[i, cols] += _bit_serial_mac(
+                    ref.fmt, ref.cell_bits, self._codes[member],
+                    inputs[member], lines[start : start + limit], cols, adc,
+                )
 
     def mac_rowwise_many(
         self,
@@ -492,26 +685,25 @@ class MacBank:
         member_ids = np.asarray(member_ids, dtype=np.int64)
         inputs = np.asarray(inputs, dtype=np.float64)
         hit_rows = np.asarray(hit_rows, dtype=bool)
-        if hit_rows.ndim != 2 or hit_rows.shape[1] != ref.rows:
-            raise ConfigError(f"hit matrix must have {ref.rows} columns")
-        if member_ids.shape != (hit_rows.shape[0],):
-            raise ConfigError("need exactly one member id per query")
+        self._check_queries(member_ids, hit_rows)
         if inputs.shape != (hit_rows.shape[0], ref.cols):
             raise ConfigError(
                 f"inputs must have shape ({hit_rows.shape[0]}, {ref.cols})"
             )
         cols = ref._normalize_mask(col_mask, ref.cols)
+        out = np.zeros((hit_rows.shape[0], ref.rows), dtype=np.float64)
         if hit_rows.shape[0] == 0 or cols.size == 0:
-            return np.zeros((hit_rows.shape[0], ref.rows), dtype=np.float64)
-        # Slice the engaged columns before gathering per query: the
-        # (members, rows, k) sub-tensor is tiny, the (q, rows, cols)
-        # full gather is not.
-        weights = self._weights[:, :, cols][member_ids]
-        candidates = np.einsum("qrk,qk->qr", weights, inputs[:, cols])
+            return out
+        # Only enabled rows yield a candidate: gather the engaged
+        # weights at the hit entries, never a (q, rows, cols) tensor.
+        query, rows = hit_entries(hit_rows)
+        weights = self._weights[member_ids[query][:, None], rows[:, None], cols]
+        out[query, rows] = (weights * inputs[query][:, cols]).sum(axis=1)
         op_rows, op_query = split_macs(
-            hit_rows.sum(axis=1), ref.accumulate_limit
+            np.bincount(query, minlength=hit_rows.shape[0]),
+            ref.accumulate_limit,
         )
         self.hw.record_macs(
             self._slots[member_ids[op_query]], op_rows, int(cols.size)
         )
-        return np.where(hit_rows, candidates, 0.0)
+        return out

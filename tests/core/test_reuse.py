@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.config import ArchConfig
-from repro.core.engine import GaaSXEngine
+from repro.core.engine import GaaSXEngine, default_interval_size
+from repro.core.micro import MicroGaaSX
 from repro.core.reuse import (
     ReuseCache,
     affected_shard_keys,
@@ -25,6 +26,7 @@ from repro.core.reuse import (
     set_reuse_enabled,
 )
 from repro.graphs.partition import mutate_grid, partition_graph
+from repro.obs.hw import HW_COUNTERS, HwMonitor
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +205,78 @@ class TestEngineIntegration:
         engine = GaaSXEngine(small_rmat)
         engine.pagerank(iterations=4)
         engine.pagerank(iterations=4)
+        assert get_reuse_cache().describe()["entries"] == 0
+
+
+def _micro_run(graph, kernel, reuse):
+    monitor = HwMonitor()
+    micro = MicroGaaSX(graph, hw=monitor, reuse=reuse)
+    if kernel == "pagerank":
+        values, events = micro.pagerank(iterations=3)
+    else:
+        values, events = getattr(micro, kernel)(0)
+    return values, events, monitor
+
+
+class TestMicroIntegration:
+    """Micro entries are layout-wide: one packed-key entry per layout
+    and field, one gang hit-matrix entry per distinct search set."""
+
+    KERNELS = ["pagerank", "bfs", "sssp"]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_reuse_on_and_off_are_identical(self, small_rmat, kernel):
+        off = _micro_run(small_rmat, kernel, reuse=False)
+        _micro_run(small_rmat, kernel, reuse=True)  # warm the cache
+        on = _micro_run(small_rmat, kernel, reuse=True)
+        assert np.array_equal(on[0], off[0])
+        assert on[1].as_dict() == off[1].as_dict()
+        assert np.array_equal(
+            on[1].mac_rows_hist, off[1].mac_rows_hist
+        )
+        for name in HW_COUNTERS:
+            assert np.array_equal(
+                on[2].counts(name), off[2].counts(name)
+            ), name
+        assert np.array_equal(on[2].rows_hist(), off[2].rows_hist())
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_disabled_runs_never_touch_the_cache(self, small_rmat, kernel):
+        _micro_run(small_rmat, kernel, reuse=False)
+        _micro_run(small_rmat, kernel, reuse=False)
+        info = get_reuse_cache().describe()
+        assert info["entries"] == 0
+        assert info["hits"] == info["misses"] == 0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_second_identical_run_hits(self, small_rmat, kernel):
+        with reuse_scope() as cold:
+            _micro_run(small_rmat, kernel, reuse=True)
+        with reuse_scope() as warm:
+            _micro_run(small_rmat, kernel, reuse=True)
+        assert cold.misses > 0
+        assert warm.hits == cold.lookups and warm.misses == 0
+
+    def test_pagerank_entries_are_layout_wide(self, small_rmat):
+        with reuse_scope() as scope:
+            _micro_run(small_rmat, "pagerank", reuse=True)
+        # The packed keys and the gang hit matrix: one entry each,
+        # looked up once per build and once per iteration.
+        assert get_reuse_cache().describe()["entries"] == 2
+        assert (scope.misses, scope.hits) == (2, 2)
+
+    def test_mutation_drops_micro_entries(self, small_rmat):
+        _micro_run(small_rmat, "pagerank", reuse=True)
+        interval = default_interval_size(small_rmat.num_vertices)
+        grid = partition_graph(small_rmat, interval)
+        inserts = np.array([[1, 2, 1.0]])
+        new_graph = small_rmat.with_edges(inserts=inserts)
+        migration = migrate_for_mutation(
+            get_reuse_cache(), small_rmat, new_graph, grid,
+            mutate_grid(grid, new_graph, inserts=inserts), ArchConfig(),
+            inserts, None,
+        )
+        assert migration == {"carried": 0, "invalidated": 2}
         assert get_reuse_cache().describe()["entries"] == 0
 
 

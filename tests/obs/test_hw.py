@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.config import ArchConfig, TechnologyParams
-from repro.core.engine import GaaSXEngine
+from repro.core.engine import GaaSXEngine, default_interval_size
+from repro.core.loader import build_layout
 from repro.core.micro import MicroGaaSX
 from repro.energy.ledger import EnergyLedger
 from repro.errors import ConfigError
 from repro.events import EventLog
 from repro.graphs.generators import rmat
+from repro.graphs.partition import partition_graph
 from repro.obs.export import render_openmetrics
 from repro.obs.hw import (
     HW_COUNTERS,
@@ -70,6 +72,20 @@ class TestMonitorBasics:
             {"bank": "cam", "array": "1"},
             {"bank": "mac", "array": "0"},
         ]
+
+    def test_register_many_equals_one_at_a_time(self):
+        bulk, single = HwMonitor(), HwMonitor()
+        single.register("cam")
+        bulk.register("cam")
+        banks = ["cam", "mac"] * 9
+        slots = bulk.register_many(banks, accumulate_limit=8)
+        expected = [
+            single.register(bank, accumulate_limit=8 * (bank == "mac"))
+            for bank in banks
+        ]
+        assert slots.tolist() == expected
+        assert bulk.labels() == single.labels()
+        assert bulk.accumulate_limit == single.accumulate_limit == 8
 
     def test_slot_growth_preserves_counts(self):
         monitor = HwMonitor()
@@ -202,6 +218,40 @@ class TestEngineParity:
         ops = hist.sum()
         mean = (hist * np.arange(hist.size)).sum() / ops if ops else 0.0
         assert mean == pytest.approx(global_stats["mean_rows"])
+
+
+class TestSlotOrder:
+    """``repro hw-report`` rows follow the board's slot order.
+
+    The micro engine registers a ``cam`` then a ``mac`` slot per
+    crossbar, in crossbar order, so a report lists ``cam/0, mac/0,
+    cam/1, ...`` and each array's index is its crossbar id.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm,order", [("pagerank", "col"), ("bfs", "row"),
+                            ("sssp", "row")]
+    )
+    def test_slots_alternate_cam_mac_per_crossbar(
+        self, graph, algorithm, order
+    ):
+        monitor, _ = run_monitored(graph, algorithm)
+        config = ArchConfig()
+        layout = build_layout(
+            partition_graph(graph, default_interval_size(graph.num_vertices)),
+            order, config,
+        )
+        assert layout.num_xbars > 1
+        assert monitor.labels() == [
+            {"bank": bank, "array": str(x)}
+            for x in range(layout.num_xbars)
+            for bank in ("cam", "mac")
+        ]
+        # Crossbar x's edges are programmed into cam/x.
+        assert np.array_equal(
+            monitor.counts("cam_row_writes")[0::2], layout.rows_per_xbar()
+        )
+        assert not monitor.counts("cam_row_writes")[1::2].any()
 
 
 class TestNonDefaultLimit:
