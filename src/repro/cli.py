@@ -16,12 +16,14 @@ Usage::
     python -m repro slo-report                       # burn-rate table
     python -m repro trace-grep 4bf92f…               # one request's spans
     python -m repro store-convert LJ --profile full  # mmap CSR store
-    python -m repro store-info                       # stored graphs
+    python -m repro store-info                       # stored graphs, disk use
 
 ``run`` and ``run-all`` dispatch through the parallel cache-aware
 executor: ``--jobs N`` sizes the worker pool (default: all cores),
 repeated runs reuse the on-disk layout cache (``--no-cache`` opts out,
-``$REPRO_CACHE_DIR`` relocates it). Operational output goes to stderr
+``$REPRO_CACHE_DIR`` relocates it) and the mmap graph store that dataset
+stand-ins are persisted to (``$REPRO_STORE_DIR`` relocates it;
+``--no-cache`` leaves it on). Operational output goes to stderr
 as structured JSON lines (``--log-level`` / ``$REPRO_LOG_LEVEL``
 control verbosity), so stdout stays byte-identical across job counts
 and log levels. ``--trace PATH`` records spans for the whole run —
@@ -298,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_info = sub.add_parser(
         "store-info",
-        help="list the stored graphs under the store root",
+        help="list the stored graphs, with store and layout-cache "
+             "disk usage",
     )
     store_info.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -630,6 +633,7 @@ def _run_store_convert(args: argparse.Namespace) -> int:
 
 
 def _run_store_info(args: argparse.Namespace) -> int:
+    from .core.cache import default_cache_dir, disk_usage
     from .storage.mmap_store import get_store
 
     store = get_store(args.store_dir)
@@ -646,7 +650,17 @@ def _run_store_info(args: argparse.Namespace) -> int:
             f"{entry['vertices']:>10,} {entry['edges']:>12,} "
             f"{entry['shards']:>6} {entry['bytes']:>14,}"
         )
-    print(f"\n{len(entries)} stored graph(s) under {store.root}")
+    stored_bytes = sum(int(entry["bytes"]) for entry in entries)
+    print(
+        f"\n{len(entries)} stored graph(s), {stored_bytes:,} bytes "
+        f"under {store.root}"
+    )
+    cache_dir = default_cache_dir()
+    cached, cached_bytes = disk_usage(cache_dir)
+    print(
+        f"{cached} grid/layout cache entries, {cached_bytes:,} bytes "
+        f"under {cache_dir}"
+    )
     return 0
 
 

@@ -24,6 +24,10 @@ folded into every key; bumping it (on any change to the grid/layout
 construction algorithms or the serialized format) invalidates all
 previously written disk entries at once. Unreadable or stale files are
 treated as misses and silently rewritten.
+
+Graphs themselves are not cached here: the mmap CSR store
+(:mod:`repro.storage.mmap_store`) is the only on-disk graph format,
+and it names each file by the same :func:`graph_fingerprint`.
 """
 
 from __future__ import annotations
@@ -67,6 +71,16 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+def disk_usage(path: str) -> Tuple[int, int]:
+    """(entries, bytes) of the grid/layout ``.npz`` files under ``path``."""
+    try:
+        names = [n for n in os.listdir(path) if n.endswith(".npz")]
+    except OSError:
+        return 0, 0
+    sizes = [os.path.getsize(os.path.join(path, n)) for n in names]
+    return len(sizes), sum(sizes)
+
+
 def config_fingerprint(config: "ArchConfig") -> str:
     """Stable content hash of a machine configuration.
 
@@ -80,17 +94,18 @@ def config_fingerprint(config: "ArchConfig") -> str:
 def graph_fingerprint(graph: "Graph") -> str:
     """Stable content hash of a graph's vertex count and edge arrays.
 
-    Memoized on the graph instance: the arrays are immutable by
-    convention (``load_dataset`` hands out shared instances), so the
+    The only graph identity in the system: layout-cache keys, serve
+    session keys, reuse tokens and the mmap store's file names are all
+    this hash. Memoized on the graph instance: the arrays are immutable
+    by convention (``load_dataset`` hands out shared instances), so the
     hash is computed once per object.
 
     The hash is over **canonical little-endian** bytes (``<i8`` ids,
     ``<f8`` weights), never native-order ``tobytes()``: a big-endian
     host, or an int32 edge array from a foreign loader, must fingerprint
-    the same content identically or every ``CACHE_VERSION``-keyed
-    identity silently forks across hosts. On little-endian hosts with
-    canonical dtypes the ``astype`` below is a no-op view, so existing
-    disk-cache entries remain valid.
+    the same content identically or every content-keyed identity
+    silently forks across hosts. On little-endian hosts with canonical
+    dtypes the ``astype`` below is a no-op view.
     """
     cached = getattr(graph, _FINGERPRINT_ATTR, None)
     if cached is not None:
@@ -114,9 +129,10 @@ def graph_fingerprint(graph: "Graph") -> str:
 def seed_fingerprint(graph: "Graph", digest: str) -> None:
     """Pre-seed a graph's memoized content fingerprint.
 
-    Used by the mmap store so every process that opens the same stored
-    file derives identical cache keys without hashing gigabytes of
-    memmapped edges first.
+    Used by the mmap store, whose file digest *is* the fingerprint of
+    the graph it hands back, so every process that opens a stored file
+    derives its cache keys without hashing gigabytes of memmapped edges
+    first.
     """
     try:
         setattr(graph, _FINGERPRINT_ATTR, digest)
@@ -144,8 +160,6 @@ class CacheStats:
     layout_hits: int = 0
     layout_disk_hits: int = 0
     layout_misses: int = 0
-    graph_disk_hits: int = 0
-    graph_misses: int = 0
     disk_writes: int = 0
 
     @property
@@ -333,47 +347,6 @@ class LayoutCache:
             while len(self._layouts) > self.max_layouts:
                 self._layouts.popitem(last=False)
         return layout
-
-    # ------------------------------------------------------------------
-    # Graph tier (generated synthetic datasets)
-    # ------------------------------------------------------------------
-    def cached_graph(self, tag: str, builder) -> "Graph":
-        """Memoize an expensive deterministic graph construction.
-
-        ``tag`` must uniquely describe the construction (generator name,
-        sizes, seed, post-processing); ``builder`` is a zero-argument
-        callable producing the :class:`~repro.graphs.graph.Graph`. Only
-        the disk tier applies — callers keep their own in-process memo
-        (``load_dataset`` is ``lru_cache``'d) — so a repeated run skips
-        R-MAT generation, the sweep's dominant cost at small profiles.
-        """
-        from ..graphs.coo import COOMatrix
-        from ..graphs.graph import Graph
-
-        key = _entry_key("graphobj", tag)
-        arrays = self._disk_load(key)
-        if arrays is not None:
-            coo = COOMatrix(
-                arrays["rows"],
-                arrays["cols"],
-                arrays["data"],
-                (int(arrays["num_rows"]), int(arrays["num_cols"])),
-            )
-            self.stats.graph_disk_hits += 1
-            return Graph(coo, name=str(arrays["name"]))
-        graph = builder()
-        self.stats.graph_misses += 1
-        edges = graph.edges
-        self._disk_store(
-            key,
-            rows=edges.rows,
-            cols=edges.cols,
-            data=edges.data,
-            num_rows=np.int64(edges.shape[0]),
-            num_cols=np.int64(edges.shape[1]),
-            name=np.str_(graph.name),
-        )
-        return graph
 
     # ------------------------------------------------------------------
     # Disk tier

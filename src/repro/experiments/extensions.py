@@ -80,16 +80,16 @@ def scaling_study(
     one dataset size.
     """
     from ..baselines.graphr import GraphREngine
-    from ..core.cache import get_cache
     from ..graphs.generators import degree_sorted_relabel, rmat
+    from ..storage.mmap_store import get_or_build
 
     labels = []
     speedups = []
     energy_ratios = []
     gaasx_times = []
     for n, e in sizes:
-        graph = get_cache().cached_graph(
-            f"rmat-degsorted|{n}|{e}|0.8|0.08|0.08|{seed}",
+        graph = get_or_build(
+            f"rmat-degsorted-{n}-{e}-0.8-0.08-0.08-{seed}",
             lambda: degree_sorted_relabel(
                 rmat(n, e, a=0.8, b=0.08, c=0.08, seed=seed)
             ),

@@ -142,20 +142,25 @@ DATASETS: Dict[str, DatasetSpec] = {
 FIGURE_ORDER = ("SD", "LJ", "WV", "WG", "AZ", "OR")
 
 
-@lru_cache(maxsize=32)
-def load_dataset(key: str, profile: str = "bench") -> Graph | BipartiteGraph:
-    """Generate the synthetic stand-in for dataset ``key``.
-
-    Returns a :class:`Graph`, or a :class:`BipartiteGraph` for the
-    Netflix stand-in. Deterministic for a given (key, profile), and
-    cached: callers receive a shared instance and must not mutate it.
-    """
+def _lookup(key: str) -> DatasetSpec:
     try:
-        spec = DATASETS[key.upper()]
+        return DATASETS[key.upper()]
     except KeyError:
         raise DatasetError(
             f"unknown dataset {key!r}; known: {sorted(DATASETS)}"
         ) from None
+
+
+def synthesize_dataset(
+    key: str, profile: str = "bench"
+) -> Graph | BipartiteGraph:
+    """Build the synthetic stand-in for dataset ``key`` from its seed.
+
+    The uncached generator behind :func:`load_dataset` and
+    :meth:`repro.storage.mmap_store.MmapStore.dataset`; deterministic
+    for a given (key, profile).
+    """
+    spec = _lookup(key)
     vertices, edges = spec.sizes(profile)
     name = f"{spec.key}-{profile}"
     if spec.bipartite:
@@ -177,50 +182,40 @@ def load_dataset(key: str, profile: str = "bench") -> Graph | BipartiteGraph:
     # Cap the edge request below what a simple digraph of this size can
     # actually hold (generators reject impossible densities).
     edges = min(edges, vertices * (vertices - 1) // 2)
-
-    def _build() -> Graph:
-        # a=0.8 concentrates edges the way SNAP crawl-ordered graphs
-        # do: the resulting 16x16 tile profile (~90 % of non-empty
-        # tiles at <= 10 % density, dense/sparse write ratio in the
-        # 25-55x band) matches the paper's Section II-C measurements.
-        graph = rmat(
-            vertices, edges, a=0.80, b=0.08, c=0.08, seed=spec.seed,
-            name=name,
-        )
-        # Degree-sorted ids reproduce SNAP-like tile locality (see
-        # generators.degree_sorted_relabel).
-        return degree_sorted_relabel(graph)
-
-    # Generation is deterministic in (key, profile); route it through
-    # the persistent content cache so repeated sessions skip the R-MAT
-    # build entirely. The lru_cache above keeps the in-process tier.
-    from ..core.cache import get_cache
-
-    return get_cache().cached_graph(f"dataset|{spec.key}|{profile}", _build)
+    # a=0.8 concentrates edges the way SNAP crawl-ordered graphs do:
+    # the resulting 16x16 tile profile (~90 % of non-empty tiles at
+    # <= 10 % density, dense/sparse write ratio in the 25-55x band)
+    # matches the paper's Section II-C measurements.
+    graph = rmat(
+        vertices, edges, a=0.80, b=0.08, c=0.08, seed=spec.seed, name=name,
+    )
+    # Degree-sorted ids reproduce SNAP-like tile locality (see
+    # generators.degree_sorted_relabel).
+    return degree_sorted_relabel(graph)
 
 
-def load_dataset_mmap(key: str, profile: str = "bench") -> Graph:
-    """Load a dataset as a shared, memmap-backed :class:`Graph`.
+@lru_cache(maxsize=32)
+def load_dataset(key: str, profile: str = "bench") -> Graph | BipartiteGraph:
+    """The synthetic stand-in for dataset ``key``.
 
-    First call per (key, profile) converts the stand-in into the
-    content-addressed CSR store (``$REPRO_STORE_DIR`` or
-    ``~/.cache/repro/store``); every later call — in this or any other
-    process — reopens zero-copy read-only views over the same file, so
-    N engines on one host share one copy of the edge arrays through
-    the page cache. Bipartite datasets (Netflix) are refused: their
-    consumers need the :class:`BipartiteGraph` shape, which the square
-    store deliberately does not preserve — use :func:`load_dataset`.
+    Returns a :class:`Graph`, or a :class:`BipartiteGraph` for the
+    Netflix stand-in. Deterministic for a given (key, profile), and
+    cached: callers receive a shared instance and must not mutate it.
+
+    Square stand-ins come from the mmap CSR store (``$REPRO_STORE_DIR``
+    or ``~/.cache/repro/store``): the first call per (key, profile) on a
+    host synthesizes and stores the graph, every later call — in this
+    or any other process — opens read-only memmap views over the same
+    file. An unusable store degrades to the in-memory build. Netflix
+    stays in memory: collaborative filtering needs the
+    :class:`BipartiteGraph` shape, which the square store does not keep.
     """
-    spec = DATASETS.get(key.upper())
-    if spec is None:
-        raise DatasetError(
-            f"unknown dataset {key!r}; known: {sorted(DATASETS)}"
-        )
+    spec = _lookup(key)
     if spec.bipartite:
-        raise DatasetError(
-            f"dataset {spec.key} is bipartite; the mmap store serves "
-            f"square graphs only — use load_dataset()"
-        )
-    from ..storage.mmap_store import get_store
+        return synthesize_dataset(spec.key, profile)
+    from ..storage.mmap_store import dataset_tag, get_or_build
 
-    return get_store().dataset(spec.key, profile).graph()
+    return get_or_build(
+        dataset_tag(spec.key, profile),
+        lambda: synthesize_dataset(spec.key, profile),
+    )

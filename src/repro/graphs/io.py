@@ -1,9 +1,10 @@
-"""Graph I/O: SNAP-style edge lists and a binary COO container.
+"""Graph I/O: SNAP-style edge lists and single-file CSR store files.
 
 The SNAP datasets the paper uses ship as whitespace-separated edge-list
 text files with ``#`` comment headers; :func:`read_edge_list` accepts
 exactly that shape (with an optional third weight column). The binary
-container is a plain ``.npz`` holding the COO arrays for fast reloads.
+container is the mmap store's ``.gsx`` CSR file, the only on-disk graph
+format.
 """
 
 from __future__ import annotations
@@ -164,39 +165,12 @@ def write_matrix_market(graph: Graph, path: str | os.PathLike) -> None:
             handle.write(f"{s + 1} {d + 1} {w:g}\n")
 
 
-def save_binary(graph: Graph, path: str | os.PathLike) -> None:
-    """Persist a graph as a compressed ``.npz`` COO container."""
-    np.savez_compressed(
-        path,
-        src=graph.edges.rows,
-        dst=graph.edges.cols,
-        weight=graph.edges.data,
-        num_vertices=np.int64(graph.num_vertices),
-        name=np.str_(graph.name),
-    )
-
-
-def load_binary(path: str | os.PathLike) -> Graph:
-    """Load a graph saved by :func:`save_binary`."""
-    with np.load(path, allow_pickle=False) as archive:
-        required = {"src", "dst", "weight", "num_vertices"}
-        missing = required - set(archive.files)
-        if missing:
-            raise GraphFormatError(
-                f"{path}: missing arrays {sorted(missing)}"
-            )
-        n = int(archive["num_vertices"])
-        coo = COOMatrix(archive["src"], archive["dst"], archive["weight"], (n, n))
-        name = str(archive["name"]) if "name" in archive.files else "graph"
-    return Graph(coo, name=name)
-
-
 def save_store(graph: Graph, path: str | os.PathLike) -> str:
     """Write a graph as a canonical CSR store file; returns its digest.
 
-    This is the mmap-native counterpart of :func:`save_binary`: the
-    result reopens as zero-copy read-only views via :func:`load_store`
-    and is byte-identical for equal graphs on every host (canonical
+    The store file is the only on-disk graph container: it reopens as
+    zero-copy read-only views via :func:`load_store` and is
+    byte-identical for equal graphs on every host (canonical
     little-endian CSR layout, see :mod:`repro.storage.mmap_store`).
     """
     from ..storage.mmap_store import write_graph_file

@@ -24,11 +24,13 @@ import time
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..config import ArchConfig
 from ..core.cache import config_fingerprint, graph_fingerprint
 from ..core.engine import GaaSXEngine
-from ..errors import SessionPoolExhaustedError, StorageError
-from ..graphs.datasets import DATASETS, load_dataset, load_dataset_mmap
+from ..errors import SessionPoolExhaustedError
+from ..graphs.datasets import DATASETS, load_dataset
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_metrics
 
@@ -38,6 +40,16 @@ log = get_logger("repro.serve.pool")
 #: PageRank/CF's column-streamed passes, ``row`` the traversal kernels;
 #: warming both means the first query of either family is compute-only.
 WARM_ORDERS = ("col", "row")
+
+
+def _store_backed(graph: object) -> bool:
+    """Whether a graph's edge arrays are views over a store file."""
+    arr = getattr(getattr(graph, "edges", None), "cols", None)
+    while isinstance(arr, np.ndarray):
+        if isinstance(arr, np.memmap):
+            return True
+        arr = arr.base
+    return False
 
 
 class WarmSession:
@@ -61,33 +73,25 @@ class WarmSession:
         self.profile = profile
         self.config = config
         registry = registry if registry is not None else get_metrics()
-        # Warm sessions share edge arrays through the mmap CSR store:
-        # every session (and every serving process on the host) maps
-        # the same read-only file, so per-session residency is the
-        # engine's layout state, not another copy of the graph — the
-        # LRU pool holds proportionally more engines. Bipartite
-        # datasets keep the in-memory path (collaborative filtering
-        # needs the BipartiteGraph shape); a store failure (read-only
-        # disk, quota) degrades to the in-memory loader rather than
-        # failing the query.
-        spec = DATASETS.get(dataset.upper())
-        self.mmap_backed = False
-        graph = None
-        if spec is not None and not spec.bipartite:
-            try:
-                graph = load_dataset_mmap(dataset, profile)
-                self.mmap_backed = True
-            except (StorageError, OSError) as exc:
-                # Degradations must be visible on /metrics, not only
-                # in /stats: a host silently falling back to in-memory
-                # loading is exactly what a dashboard should catch.
-                registry.counter("serve.pool.mmap_fallback").inc()
-                log.warning(
-                    "pool.mmap_fallback", dataset=dataset,
-                    profile=profile, error=str(exc),
-                )
-        if graph is None:
-            graph = load_dataset(dataset, profile)
+        # Warm sessions share edge arrays through the mmap CSR store
+        # that load_dataset reads square stand-ins from: every session
+        # (and every serving process on the host) maps the same
+        # read-only file, so per-session residency is the engine's
+        # layout state, not another copy of the graph — the LRU pool
+        # holds proportionally more engines. Bipartite datasets stay in
+        # memory (collaborative filtering needs the BipartiteGraph
+        # shape); a store failure (read-only disk, quota) makes
+        # load_dataset return an in-memory build instead.
+        graph = load_dataset(dataset, profile)
+        self.mmap_backed = _store_backed(graph)
+        if not self.mmap_backed and not DATASETS[dataset.upper()].bipartite:
+            # Degradations must be visible on /metrics, not only in
+            # /stats: a host silently falling back to in-memory
+            # loading is exactly what a dashboard should catch.
+            registry.counter("serve.pool.mmap_fallback").inc()
+            log.warning(
+                "pool.mmap_fallback", dataset=dataset, profile=profile,
+            )
         self.engine = GaaSXEngine(graph, config=config)
         for order in WARM_ORDERS:
             self.engine.layout(order)

@@ -27,25 +27,28 @@ arrays are therefore plain slices of the global extents — per-shard
 ``indptr``/``indices``/``data`` views cost no copies beyond the local
 (#rows + 1)-element indptr rebase.
 
-Content addressing: the file name is the hex digest of the canonical
-little-endian CSR bytes (plus vertex count), so equal graphs converge
-on one file regardless of which host or process wrote them, and a
-corrupt/partial write can never alias a good one (writes go through a
-temp file + ``os.replace``). Alias files map human tags (e.g.
-``dataset-WV-bench``) to digests so reopening a dataset never has to
-regenerate it just to learn its key.
+Content addressing: the file name is the
+:func:`~repro.core.cache.graph_fingerprint` of the graph the file hands
+back (edges in CSR order), so equal graphs converge on one file
+regardless of which host or process wrote them, and a corrupt/partial
+write can never alias a good one (writes go through a temp file +
+``os.replace``). Alias files map human tags (e.g. ``dataset-WV-bench``)
+to digests so reopening a dataset never has to regenerate it just to
+learn its key; a file that fails :func:`read_header` is a miss.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from functools import cache
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -61,9 +64,9 @@ log = get_logger("repro.storage.mmap")
 #: File magic; changes only with a byte-incompatible relayout.
 MAGIC = b"GSX-CSR1"
 
-#: Format version folded into the header and the content digest. Bump
-#: on any change to the header schema or the extent layout.
-FORMAT_VERSION = 1
+#: Format version recorded in the header. Bump on any change to the
+#: header schema, the extent layout or the meaning of ``digest``.
+FORMAT_VERSION = 2
 
 #: Canonical on-disk dtypes (explicit little-endian). Every consumer
 #: sees exactly these regardless of host endianness.
@@ -93,32 +96,13 @@ def default_store_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "store")
 
 
-def canonical_bytes(arr: np.ndarray, dtype: str) -> bytes:
-    """The canonical little-endian byte image of an array.
+def _fingerprint(csr: CSRMatrix) -> str:
+    """The content key of a stored CSR: the fingerprint of the graph
+    :meth:`StoredGraph.graph` hands back for it."""
+    from ..core.cache import graph_fingerprint
+    from ..graphs.graph import Graph
 
-    Identity hashes (here and in :mod:`repro.core.cache`) must be
-    computed over these bytes, never over native-order ``tobytes()`` —
-    a big-endian host would otherwise fingerprint the same content
-    differently and silently fork every content-keyed identity.
-    """
-    return np.ascontiguousarray(arr).astype(dtype, copy=False).tobytes()
-
-
-def content_digest(
-    num_vertices: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-) -> str:
-    """Content address of one CSR graph (canonical-byte SHA-256)."""
-    h = hashlib.sha256()
-    h.update(MAGIC)
-    h.update(struct.pack("<II", FORMAT_VERSION, 0))
-    h.update(struct.pack("<q", int(num_vertices)))
-    h.update(canonical_bytes(indptr, INDPTR_DTYPE))
-    h.update(canonical_bytes(indices, INDEX_DTYPE))
-    h.update(canonical_bytes(data, VALUE_DTYPE))
-    return h.hexdigest()[:32]
+    return graph_fingerprint(Graph.from_csr(csr))
 
 
 def _align(offset: int) -> int:
@@ -176,6 +160,8 @@ def write_graph_file(
 ) -> str:
     """Write one CSR graph as a store file; returns its content digest.
 
+    ``digest`` defaults to the graph fingerprint of the stored edges.
+
     The write is atomic (temp file + rename), so readers never observe
     a partial file and concurrent writers of equal content are
     harmless — last rename wins with identical bytes.
@@ -190,7 +176,9 @@ def write_graph_file(
     if indices.size != data.size:
         raise StorageError("indices and data must match in length")
     if digest is None:
-        digest = content_digest(num_vertices, indptr, indices, data)
+        digest = _fingerprint(
+            CSRMatrix(indptr, indices, data, (num_vertices, num_vertices))
+        )
     nnz = int(indices.size)
     shards = build_shard_table(indptr, target_edges)
     # Lay the extents out: header JSON size depends on the extent
@@ -567,17 +555,28 @@ class MmapStore:
         )
         return os.path.join(self.root, f"alias-{slug}.json")
 
+    def _readable(self, digest: str) -> bool:
+        """Whether the digest's file exists and has a current header."""
+        path = self.path_for(digest)
+        if not os.path.exists(path):
+            return False
+        try:
+            read_header(path)
+        except StorageError as exc:
+            log.warning("store.stale_entry", path=path, error=str(exc))
+            return False
+        return True
+
     def resolve_alias(self, tag: str) -> Optional[str]:
-        """Digest a tag points at, or None (missing/corrupt alias)."""
+        """Digest a tag points at, or None (missing/corrupt alias, or a
+        file that no longer opens)."""
         try:
             with open(self._alias_path(tag), "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
             digest = payload.get("digest")
         except (OSError, json.JSONDecodeError, AttributeError):
             return None
-        if not isinstance(digest, str) or not os.path.exists(
-            self.path_for(digest)
-        ):
+        if not isinstance(digest, str) or not self._readable(digest):
             return None
         return digest
 
@@ -605,15 +604,14 @@ class MmapStore:
         """Convert a graph to the store (idempotent) and open it.
 
         The graph's canonical CSR is built, content-addressed, and
-        written only if that digest is not already stored; ``tag``
-        optionally records an alias for later :meth:`open_tag` lookups.
+        written unless a readable file with that digest is already
+        stored; ``tag`` optionally records an alias for later
+        :meth:`open_tag` lookups.
         """
         csr = graph.csr()
-        digest = content_digest(
-            graph.num_vertices, csr.indptr, csr.indices, csr.data
-        )
+        digest = _fingerprint(csr)
         path = self.path_for(digest)
-        if not os.path.exists(path):
+        if not self._readable(digest):
             os.makedirs(self.root, exist_ok=True)
             write_graph_file(
                 path,
@@ -653,9 +651,6 @@ class MmapStore:
             )
         return self.open(digest)
 
-    def __contains__(self, digest: str) -> bool:
-        return os.path.exists(self.path_for(digest))
-
     def entries(self) -> List[Dict[str, object]]:
         """Header summaries of every stored graph (for store-info)."""
         if not os.path.isdir(self.root):
@@ -682,30 +677,59 @@ class MmapStore:
         return out
 
     # ------------------------------------------------------------------
-    def dataset_tag(self, key: str, profile: str) -> str:
-        """The alias tag of one (dataset, profile) conversion."""
-        return f"dataset-{key.upper()}-{profile}"
+    def get_or_put(
+        self, tag: str, build: Callable[[], "Graph"]
+    ) -> StoredGraph:
+        """Open the graph tagged ``tag``; on a miss, ``build`` it and
+        store it under that tag."""
+        digest = self.resolve_alias(tag)
+        if digest is not None:
+            return self.open(digest)
+        return self.put_graph(build(), tag=tag)
 
     def dataset(self, key: str, profile: str = "bench") -> StoredGraph:
         """Get-or-convert the stand-in dataset for (key, profile).
 
         Bipartite datasets (Netflix) are stored as their unified square
         graph — the shape every shard/streaming consumer expects; the
-        collaborative-filtering service path keeps its in-memory
+        collaborative-filtering path keeps its in-memory
         :class:`~repro.graphs.graph.BipartiteGraph` and does not route
         through the store.
         """
-        tag = self.dataset_tag(key, profile)
-        digest = self.resolve_alias(tag)
-        if digest is not None:
-            return self.open(digest)
-        from ..graphs.datasets import load_dataset
+        from ..graphs.datasets import synthesize_dataset
         from ..graphs.graph import BipartiteGraph
 
-        loaded = load_dataset(key, profile)
-        if isinstance(loaded, BipartiteGraph):
-            loaded = loaded.as_unified_graph()
-        return self.put_graph(loaded, tag=tag)
+        def build() -> "Graph":
+            graph = synthesize_dataset(key, profile)
+            if isinstance(graph, BipartiteGraph):
+                return graph.as_unified_graph()
+            return graph
+
+        return self.get_or_put(dataset_tag(key, profile), build)
+
+
+def dataset_tag(key: str, profile: str) -> str:
+    """The alias tag of one (dataset, profile) stand-in."""
+    return f"dataset-{key.upper()}-{profile}"
+
+
+def get_or_build(tag: str, build: Callable[[], "Graph"]) -> "Graph":
+    """The graph tagged ``tag`` in the process-wide store, built and
+    stored on a miss.
+
+    The store is the only place a generated graph is persisted. When it
+    cannot be used (unwritable root, full disk) the build is returned
+    in memory instead, with a warning, so callers still get the graph.
+    """
+    build = cache(build)  # a failed put must not build twice
+    store = get_store()
+    try:
+        return store.get_or_put(tag, build).graph()
+    except (StorageError, OSError) as exc:
+        log.warning(
+            "store.unavailable", tag=tag, root=store.root, error=str(exc)
+        )
+        return build()
 
 
 # ----------------------------------------------------------------------

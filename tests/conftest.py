@@ -8,6 +8,22 @@ import pytest
 from repro.config import ArchConfig
 from repro.graphs import COOMatrix, Graph
 from repro.graphs.generators import bipartite_ratings, grid_2d, rmat
+from repro.storage.mmap_store import reset_store
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_store(tmp_path_factory):
+    """Root the mmap graph store in a session temp dir.
+
+    ``load_dataset`` persists every square stand-in to the store, so
+    without this the suite would write under ``~/.cache``.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_STORE_DIR", str(tmp_path_factory.mktemp("store")))
+    reset_store()
+    yield
+    patch.undo()
+    reset_store()
 
 
 @pytest.fixture(scope="session")

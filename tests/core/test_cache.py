@@ -137,28 +137,6 @@ class TestDiskTier:
         fresh = build_layout(grid, "row", config)
         np.testing.assert_array_equal(restored.src, fresh.src)
 
-    def test_cached_graph_skips_builder_on_second_load(self, tmp_path):
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return rmat(64, 300, seed=42, name="built")
-
-        warm = LayoutCache(disk_dir=str(tmp_path))
-        original = warm.cached_graph("test|rmat|64|300|42", builder)
-        cold = LayoutCache(disk_dir=str(tmp_path))
-        restored = cold.cached_graph("test|rmat|64|300|42", builder)
-        assert len(calls) == 1
-        assert cold.stats.graph_disk_hits == 1
-        assert restored.name == original.name
-        assert restored.num_vertices == original.num_vertices
-        np.testing.assert_array_equal(
-            restored.edges.rows, original.edges.rows
-        )
-        np.testing.assert_array_equal(
-            restored.edges.data, original.edges.data
-        )
-
     def test_corrupt_entry_is_a_miss(self, small_rmat, tmp_path):
         warm = LayoutCache(disk_dir=str(tmp_path))
         warm.grid(small_rmat, 16)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, StorageError
 from repro.graphs import Graph
 from repro.graphs.io import (
-    load_binary,
+    load_store,
     read_edge_list,
-    save_binary,
+    save_store,
     write_edge_list,
 )
 
@@ -90,9 +90,9 @@ class TestEdgeListText:
 
 class TestBinary:
     def test_roundtrip(self, weighted_graph, tmp_path):
-        path = tmp_path / "g.npz"
-        save_binary(weighted_graph, path)
-        loaded = load_binary(path)
+        path = tmp_path / "g.gsx"
+        save_store(weighted_graph, path)
+        loaded = load_store(path)
         assert loaded.edges == weighted_graph.edges
         assert loaded.name == "tri"
         assert loaded.num_vertices == 3
@@ -100,11 +100,11 @@ class TestBinary:
     def test_missing_arrays_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, src=np.array([0]))
-        with pytest.raises(GraphFormatError):
-            load_binary(path)
+        with pytest.raises(StorageError):
+            load_store(path)
 
     def test_roundtrip_preserves_isolated_vertices(self, tmp_path):
         g = Graph.from_edge_list([(0, 1)], num_vertices=100)
-        path = tmp_path / "g.npz"
-        save_binary(g, path)
-        assert load_binary(path).num_vertices == 100
+        path = tmp_path / "g.gsx"
+        save_store(g, path)
+        assert load_store(path).num_vertices == 100

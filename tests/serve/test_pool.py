@@ -9,9 +9,9 @@ from repro.config import ArchConfig
 from repro.core.engine import GaaSXEngine
 from repro.errors import StorageError
 from repro.graphs.datasets import load_dataset
-from repro.serve import pool as pool_module
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import SessionPool, WarmSession
-from repro.storage.mmap_store import get_store, reset_store
+from repro.storage.mmap_store import MmapStore, get_store, reset_store
 
 
 @pytest.fixture(autouse=True)
@@ -60,12 +60,18 @@ class TestWarmSessionBacking:
         assert session.content_key.startswith(digest)
 
     def test_store_failure_degrades_to_loader(self, tiny_config, monkeypatch):
-        def broken(dataset, profile):
+        def broken(self, tag, build):
             raise StorageError("store offline")
 
-        monkeypatch.setattr(pool_module, "load_dataset_mmap", broken)
-        session = WarmSession("WV", "tiny", tiny_config)
+        monkeypatch.setattr(MmapStore, "get_or_put", broken)
+        registry = MetricsRegistry()
+        load_dataset.cache_clear()
+        try:
+            session = WarmSession("WV", "tiny", tiny_config, registry)
+        finally:
+            load_dataset.cache_clear()  # drop the in-memory fallback
         assert session.mmap_backed is False
+        assert registry.counter("serve.pool.mmap_fallback").value == 1
         # The query path still works on the in-memory graph.
         result = session.engine.pagerank(iterations=1)
         assert np.all(np.isfinite(result.ranks))

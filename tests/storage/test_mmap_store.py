@@ -10,13 +10,15 @@ import pytest
 from repro.core.cache import graph_fingerprint
 from repro.errors import StorageError
 from repro.graphs import COOMatrix, Graph
+from repro.graphs.generators import rmat
 from repro.storage.mmap_store import (
     FORMAT_VERSION,
     MmapStore,
     StoredGraph,
     build_shard_table,
-    content_digest,
+    get_store,
     read_header,
+    reset_store,
     write_graph_file,
 )
 
@@ -46,18 +48,18 @@ class TestFileFormat:
             with pytest.raises(ValueError):
                 view[0] = 1
 
-    def test_content_digest_is_deterministic(self, medium_rmat):
+    def test_digest_is_graph_fingerprint(self, store, medium_rmat, tmp_path):
         csr = medium_rmat.csr()
-        a = content_digest(
-            medium_rmat.num_vertices, csr.indptr, csr.indices, csr.data
-        )
-        b = content_digest(
+        expected = graph_fingerprint(Graph.from_csr(csr))
+        written = write_graph_file(
+            str(tmp_path / "g.gsx"),
             medium_rmat.num_vertices,
             csr.indptr.astype(np.int32),  # non-canonical input dtype
             csr.indices,
             csr.data,
         )
-        assert a == b
+        assert written == expected
+        assert store.put_graph(medium_rmat).digest == expected
 
     def test_write_is_idempotent(self, store, medium_rmat):
         first = store.put_graph(medium_rmat)
@@ -241,6 +243,22 @@ class TestAliasesAndRegistry:
         assert first.digest == second.digest
         assert len(store.entries()) == 1
 
+    def test_get_or_put_skips_builder_on_second_load(self, store):
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return rmat(64, 300, seed=42, name="built")
+
+        original = store.get_or_put("test-rmat", builder)
+        restored = MmapStore(store.root).get_or_put("test-rmat", builder)
+        assert len(calls) == 1
+        assert restored.path == original.path
+        assert restored.name == "built"
+        np.testing.assert_array_equal(
+            restored.graph().edges.rows, builder().edges.rows
+        )
+
     def test_bipartite_dataset_stored_as_unified(self, store):
         from repro.graphs.datasets import load_dataset
 
@@ -249,3 +267,87 @@ class TestAliasesAndRegistry:
         expected = bipartite.as_unified_graph()
         assert stored.num_vertices == expected.num_vertices
         assert stored.num_edges == expected.num_edges
+
+
+def _rewrite_version(path: str, version: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(8)  # after the magic
+        fh.write(version.to_bytes(4, "little"))
+
+
+class TestStaleEntries:
+    """A file behind an alias that fails :func:`read_header` is a miss
+    and gets rewritten, instead of failing every open."""
+
+    @pytest.fixture()
+    def global_store(self, tmp_path, monkeypatch):
+        from repro.graphs.datasets import load_dataset
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_store()
+        load_dataset.cache_clear()
+        yield get_store()
+        load_dataset.cache_clear()
+        reset_store()
+
+    @pytest.mark.parametrize("damage", ["old-version", "truncated"])
+    def test_stale_alias_target_is_rebuilt(self, global_store, damage):
+        from repro.graphs.datasets import load_dataset
+
+        stored = global_store.dataset("WV", "tiny")
+        path, digest = stored.path, stored.digest
+        del stored
+        if damage == "old-version":
+            _rewrite_version(path, FORMAT_VERSION - 1)
+        else:
+            with open(path, "r+b") as fh:
+                fh.truncate(10)
+        with pytest.raises(StorageError):
+            StoredGraph(path)
+        assert global_store.resolve_alias("dataset-WV-tiny") is None
+
+        graph = load_dataset("WV", "tiny")
+        assert graph_fingerprint(graph) == digest
+        assert StoredGraph(path).digest == digest
+        assert global_store.resolve_alias("dataset-WV-tiny") == digest
+
+    def test_put_graph_rewrites_stale_file(self, store, medium_rmat):
+        path = store.put_graph(medium_rmat).path
+        _rewrite_version(path, FORMAT_VERSION + 1)
+        store.put_graph(medium_rmat)
+        assert read_header(path)["format_version"] == FORMAT_VERSION
+
+
+class TestOneGraphKey:
+    """The in-memory stand-in and its store file are one identity: the
+    same fingerprint, one shared layout-cache entry, equal events."""
+
+    @pytest.mark.parametrize("key", ["WV", "SD"])
+    def test_in_memory_and_stored_share_one_key(self, store, key):
+        from repro.core import cache as layout_cache
+        from repro.core.engine import GaaSXEngine
+        from repro.graphs.datasets import synthesize_dataset
+
+        built = synthesize_dataset(key, "tiny")
+        stored = store.dataset(key, "tiny")
+        assert graph_fingerprint(built) == stored.digest
+
+        layout_cache.reset_cache()
+        try:
+            first = GaaSXEngine(built)
+            first.layout("col")
+            before = layout_cache.stats_snapshot()
+            second = GaaSXEngine(stored.graph())
+            second.layout("col")
+            delta = layout_cache.CacheStats.delta(
+                before, layout_cache.stats_snapshot()
+            )
+            assert delta["grid_hits"] == 1 and delta["grid_misses"] == 0
+            assert delta["layout_hits"] == 1
+            assert delta["layout_misses"] == 0
+            a = first.pagerank(iterations=3)
+            b = second.pagerank(iterations=3)
+        finally:
+            layout_cache.reset_cache()
+        assert a.stats.events.counters_equal(b.stats.events)
+        assert np.array_equal(a.ranks, b.ranks)
