@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_info = sub.add_parser(
         "store-info",
-        help="list the stored graphs, with store and layout-cache "
+        help="list the stored graphs, with store and grid-cache "
              "disk usage",
     )
     store_info.add_argument(
@@ -658,7 +658,7 @@ def _run_store_info(args: argparse.Namespace) -> int:
     cache_dir = default_cache_dir()
     cached, cached_bytes = disk_usage(cache_dir)
     print(
-        f"{cached} grid/layout cache entries, {cached_bytes:,} bytes "
+        f"{cached} grid cache entries, {cached_bytes:,} bytes "
         f"under {cache_dir}"
     )
     return 0

@@ -12,16 +12,19 @@ Two tiers:
 * an in-process LRU (:class:`LayoutCache`) holding live
   :class:`~repro.graphs.partition.ShardGrid` and
   :class:`~repro.core.loader.CrossbarLayout` objects, and
-* an optional on-disk cache of the underlying arrays (``.npz`` files
-  under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so a *new*
-  process — a pool worker, or tomorrow's ``run-all`` — skips the
-  sort/pack work entirely.
+* an optional on-disk cache of shard grids (``.npz`` files under
+  ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so a *new* process — a
+  pool worker, or tomorrow's ``run-all`` — skips the lexsort entirely.
+
+Layouts are never stored: a layout is a fixed function of (grid,
+order, crossbar size), and deriving it from an in-memory grid is
+cheaper than loading it (:func:`~repro.core.loader.build_layout`).
 
 Keys are content hashes, not object identities: a graph is fingerprinted
 by its edge arrays, a config by its field values, so two engines built
 from equal inputs share one cached artifact. :data:`CACHE_VERSION` is
-folded into every key; bumping it (on any change to the grid/layout
-construction algorithms or the serialized format) invalidates all
+folded into every key; bumping it (on any change to the grid
+construction algorithm or the serialized format) invalidates all
 previously written disk entries at once. Unreadable or stale files are
 treated as misses and silently rewritten.
 
@@ -54,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..graphs.partition import ShardGrid
     from .loader import CrossbarLayout
 
-#: Bump on any change to grid/layout construction or the on-disk format.
+#: Bump on any change to grid construction or the on-disk format.
 CACHE_VERSION = 1
 
 #: Environment variable overriding the on-disk cache location.
@@ -72,7 +75,7 @@ def default_cache_dir() -> str:
 
 
 def disk_usage(path: str) -> Tuple[int, int]:
-    """(entries, bytes) of the grid/layout ``.npz`` files under ``path``."""
+    """(entries, bytes) of the grid ``.npz`` files under ``path``."""
     try:
         names = [n for n in os.listdir(path) if n.endswith(".npz")]
     except OSError:
@@ -149,33 +152,32 @@ def _entry_key(kind: str, *parts: object) -> str:
 class CacheStats:
     """Hit/miss counters for one :class:`LayoutCache`.
 
-    ``*_hits`` count in-process LRU hits, ``*_disk_hits`` count entries
-    rehydrated from the on-disk store (a new process's warm start), and
-    ``*_misses`` count full recomputations.
+    ``*_hits`` count in-process LRU hits, ``grid_disk_hits`` counts
+    grids rehydrated from the on-disk tier (a new process's warm
+    start), and ``*_misses`` count full recomputations.
     """
 
     grid_hits: int = 0
     grid_disk_hits: int = 0
     grid_misses: int = 0
     layout_hits: int = 0
-    layout_disk_hits: int = 0
     layout_misses: int = 0
     disk_writes: int = 0
 
     @property
     def hits(self) -> int:
         """All lookups that avoided recomputation."""
-        return (
-            self.grid_hits
-            + self.grid_disk_hits
-            + self.layout_hits
-            + self.layout_disk_hits
-        )
+        return self.grid_hits + self.grid_disk_hits + self.layout_hits
+
+    @property
+    def misses(self) -> int:
+        """All lookups that recomputed their artifact."""
+        return self.grid_misses + self.layout_misses
 
     @property
     def lookups(self) -> int:
         """Total grid + layout lookups."""
-        return self.hits + self.grid_misses + self.layout_misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -195,14 +197,15 @@ class CacheStats:
 
 
 class LayoutCache:
-    """Two-tier memo for shard grids and crossbar layouts.
+    """In-process memo for shard grids and crossbar layouts, with an
+    optional on-disk tier for grids.
 
     Parameters
     ----------
     max_grids, max_layouts:
         LRU capacities for the in-process tier.
     disk_dir:
-        Directory for the persistent tier; ``None`` disables it.
+        Directory for the persistent grid tier; ``None`` disables it.
     """
 
     def __init__(
@@ -258,39 +261,32 @@ class LayoutCache:
                 keys=grid._keys,
                 starts=grid._starts,
             )
+        self._remember_grid(key, grid)
+        return grid
+
+    def _remember_grid(self, key: str, grid: "ShardGrid") -> None:
         with self._lock:
             self._grids[key] = grid
             self._grids.move_to_end(key)
             while len(self._grids) > self.max_grids:
                 self._grids.popitem(last=False)
-        return grid
 
     def seed_grid(
         self, graph: "Graph", interval_size: int, grid: "ShardGrid"
     ) -> None:
-        """Insert a pre-built grid under its content key.
+        """Insert a pre-built grid under its content key, in-process only.
 
         The mutation path derives the new graph's grid incrementally
         (:func:`repro.graphs.partition.mutate_grid`); seeding it here
         means the first post-mutation query hits the in-process tier
-        instead of re-lexsorting the whole edge set.
+        instead of re-lexsorting the whole edge set. It is never
+        written to disk: a mutated graph lives only in this process,
+        so no other process could ever derive its key.
         """
         key = _entry_key(
             "grid", graph_fingerprint(graph), int(interval_size)
         )
-        with self._lock:
-            self._grids[key] = grid
-            self._grids.move_to_end(key)
-            while len(self._grids) > self.max_grids:
-                self._grids.popitem(last=False)
-        self._disk_store(
-            key,
-            src=grid.src,
-            dst=grid.dst,
-            weight=grid.weight,
-            keys=grid._keys,
-            starts=grid._starts,
-        )
+        self._remember_grid(key, grid)
 
     # ------------------------------------------------------------------
     # Layout tier
@@ -302,8 +298,10 @@ class LayoutCache:
         order: str,
         config: "ArchConfig",
     ) -> "CrossbarLayout":
-        """``build_layout`` memoized by (graph, interval, order, config)."""
-        from .loader import CrossbarLayout, build_layout
+        """``build_layout`` memoized in-process by (graph, interval,
+        order, config); a miss derives it from ``grid``, never from disk.
+        """
+        from .loader import build_layout
 
         key = _entry_key(
             "layout",
@@ -318,29 +316,8 @@ class LayoutCache:
                 self._layouts.move_to_end(key)
                 self.stats.layout_hits += 1
                 return hit
-        arrays = self._disk_load(key)
-        if arrays is not None:
-            layout = CrossbarLayout(
-                config=config,
-                order=order,
-                src=arrays["src"],
-                dst=arrays["dst"],
-                weight=arrays["weight"],
-                xbar_of_edge=arrays["xbar_of_edge"],
-                num_xbars=int(arrays["num_xbars"]),
-            )
-            self.stats.layout_disk_hits += 1
-        else:
-            layout = build_layout(grid, order, config)
-            self.stats.layout_misses += 1
-            self._disk_store(
-                key,
-                src=layout.src,
-                dst=layout.dst,
-                weight=layout.weight,
-                xbar_of_edge=layout.xbar_of_edge,
-                num_xbars=np.int64(layout.num_xbars),
-            )
+        layout = build_layout(grid, order, config)
+        self.stats.layout_misses += 1
         with self._lock:
             self._layouts[key] = layout
             self._layouts.move_to_end(key)

@@ -599,29 +599,25 @@ class GaaSXEngine:
         sweep, then passes that only re-process vertices whose rank
         moved by more than ``epsilon``, optionally warm-started from
         ``warm_ranks``. Results are epsilon-equivalent to the full
-        kernel. Incremental mode rides on the reuse layer; when that
-        is disabled (``REPRO_REUSE=0``) it falls back to full
-        recompute, which keeps the non-reuse path the exact paper
-        dataflow. ``personalization`` requires the full kernel.
+        kernel. It runs whether or not the reuse layer is enabled;
+        ``REPRO_REUSE`` only decides whether its pass accounting is
+        memoized. ``personalization`` requires the full kernel.
         """
         if incremental:
-            from .reuse import reuse_enabled
-
             if personalization is not None:
                 raise AlgorithmError(
                     "incremental PageRank does not support personalization"
                 )
-            if reuse_enabled():
-                from .algorithms import incremental as inc
+            from .algorithms import incremental as inc
 
-                return inc.pagerank(
-                    self,
-                    alpha=alpha,
-                    iterations=iterations,
-                    tolerance=tolerance,
-                    epsilon=epsilon,
-                    warm_ranks=warm_ranks,
-                )
+            return inc.pagerank(
+                self,
+                alpha=alpha,
+                iterations=iterations,
+                tolerance=tolerance,
+                epsilon=epsilon,
+                warm_ranks=warm_ranks,
+            )
         from .algorithms import pagerank
 
         return pagerank.run(

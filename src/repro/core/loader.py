@@ -241,46 +241,37 @@ def build_layout(
     ``order`` is ``"row"`` (source-interval major — BFS/SSSP) or
     ``"col"`` (destination-interval major — PageRank), matching the
     paper's algorithm-dependent shard streaming direction.
+
+    Cheap enough that layouts are never stored: the row layout is the
+    grid's own edge order and shares its arrays; the col layout is one
+    gather of the grid's shard slices in col order.
     """
+    from .engine import gather_ranges
+
+    positions = grid.shard_positions(order)
+    sizes = grid.shard_edge_counts()[positions]
+    if order == "row":
+        src, dst, weight = grid.src, grid.dst, grid.weight
+    else:
+        edges = gather_ranges(grid._starts[positions], sizes)
+        src, dst, weight = grid.src[edges], grid.dst[edges], grid.weight[edges]
+    # Every crossbar is full except each shard's last (grid shards are
+    # never empty), so crossbar ids expand from per-crossbar row counts.
     rows = config.cam_rows
-    src_parts = []
-    dst_parts = []
-    weight_parts = []
-    sizes = []
-    for shard in grid.iter_shards(order):
-        src_parts.append(shard.src)
-        dst_parts.append(shard.dst)
-        weight_parts.append(shard.weight)
-        sizes.append(shard.num_edges)
-    if not sizes:
-        empty = np.empty(0, dtype=np.int64)
-        return CrossbarLayout(
-            config=config,
-            order=order,
-            src=empty,
-            dst=empty,
-            weight=np.empty(0, dtype=np.float64),
-            xbar_of_edge=empty,
-            num_xbars=0,
-        )
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    weight = np.concatenate(weight_parts)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    xbars_per_shard = -(-sizes_arr // rows)
-    shard_xbar_offset = np.concatenate(
-        [[0], np.cumsum(xbars_per_shard)[:-1]]
+    xbars_per_shard = -(-sizes // rows)
+    num_xbars = int(xbars_per_shard.sum())
+    rows_per_xbar = np.full(num_xbars, rows, dtype=np.int64)
+    rows_per_xbar[np.cumsum(xbars_per_shard) - 1] = (
+        sizes - (xbars_per_shard - 1) * rows
     )
-    shard_edge_offset = np.concatenate([[0], np.cumsum(sizes_arr)[:-1]])
-    shard_of_edge = np.repeat(np.arange(sizes_arr.size), sizes_arr)
-    within_shard = np.arange(src.size) - shard_edge_offset[shard_of_edge]
-    xbar_of_edge = shard_xbar_offset[shard_of_edge] + within_shard // rows
     return CrossbarLayout(
         config=config,
         order=order,
         src=src,
         dst=dst,
         weight=weight,
-        xbar_of_edge=xbar_of_edge,
-        num_xbars=int(xbars_per_shard.sum()),
+        xbar_of_edge=np.repeat(
+            np.arange(num_xbars, dtype=np.int64), rows_per_xbar
+        ),
+        num_xbars=num_xbars,
     )

@@ -23,12 +23,11 @@ layer that exploits that recurrence:
   (every crossbar's distinct searched ids and their packed keys), so
   content-identical graphs never re-encode their searched vertex sets.
 * **Invalidation** — content tokens embed the graph fingerprint, so a
-  mutated graph can never read a stale entry. :func:`migrate_for_mutation`
-  goes further: entries keyed by a crossbar index whose sub-shard an
-  edge mutation did *not* touch are re-keyed to the new token (the
-  warm state survives), while entries for touched sub-shards — and
-  every layout-wide entry, which now includes all of the micro
-  engine's — are dropped and counted as invalidations.
+  mutated graph can never read a stale entry. Every entry is
+  layout-wide (the micro engine's ``"gang"``/``"layout"`` units, the
+  engine's ``"pagerank-pass"``/``"delta"`` ones), so a mutation simply
+  drops the old token's namespace (:meth:`ReuseCache.invalidate`) and
+  counts each dropped entry as an invalidation.
 
 Counters ``reuse.hits`` / ``reuse.misses`` / ``reuse.invalidations``
 are mirrored into the process metrics registry (and therefore the
@@ -47,7 +46,7 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ from ..obs.metrics import get_metrics
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import ArchConfig
     from ..graphs.graph import Graph
-    from ..graphs.partition import ShardGrid
 
 #: Environment variable: set to ``0``/``false``/``off`` to bypass reuse.
 REUSE_ENV = "REPRO_REUSE"
@@ -123,8 +121,7 @@ def layout_token(
 
     Embedding the graph fingerprint makes stale reads structurally
     impossible: a mutated graph has a new fingerprint, hence a new
-    token, hence an empty namespace (until :func:`migrate_for_mutation`
-    carries the still-valid entries over).
+    token, hence an empty namespace.
     """
     from .cache import config_fingerprint, graph_fingerprint
 
@@ -215,10 +212,9 @@ class ReuseCache:
     Two tiers share the bounds: the hit-vector tier (plus any other
     per-frontier artifact, e.g. the engine's delta-pass group
     expansions) keyed ``(token, unit, fingerprint)``, and the
-    packed-key tier keyed ``(token, unit, field)``. ``unit`` is a
-    crossbar index for array-level entries or a small string for
-    layout-wide ones — the granularity :meth:`migrate` preserves
-    across graph mutations.
+    packed-key tier keyed ``(token, unit, field)``. ``unit`` names
+    the layout-wide artifact (``"gang"``, ``"layout"``,
+    ``"pagerank-pass"``, ``"delta"``).
     """
 
     def __init__(
@@ -326,7 +322,7 @@ class ReuseCache:
         return value
 
     # ------------------------------------------------------------------
-    # Invalidation and migration
+    # Invalidation
     # ------------------------------------------------------------------
     def invalidate(self, token: Optional[str] = None) -> int:
         """Drop every entry (``token=None``) or one token's namespace.
@@ -350,39 +346,6 @@ class ReuseCache:
         if dropped:
             get_metrics().counter("reuse.invalidations").inc(dropped)
         return dropped
-
-    def migrate(
-        self,
-        old_token: str,
-        new_token: str,
-        unit_map: Dict[object, object],
-    ) -> Tuple[int, int]:
-        """Re-key one token's entries after a graph mutation.
-
-        Entries whose unit appears in ``unit_map`` (crossbars holding
-        untouched sub-shards) move to ``new_token`` under the mapped
-        unit; every other entry under ``old_token`` is dropped and
-        counted as an invalidation. Returns ``(carried, dropped)``.
-        """
-        carried = 0
-        dropped = 0
-        with self._lock:
-            for store in (self._entries, self._packed):
-                doomed = [key for key in store if key[0] == old_token]
-                for key in doomed:
-                    value = store.pop(key)
-                    _token, unit, tail = key
-                    if unit in unit_map:
-                        store[(new_token, unit_map[unit], tail)] = value
-                        carried += 1
-                    else:
-                        if store is self._entries:
-                            self._bytes -= _value_bytes(value)
-                        dropped += 1
-            self.invalidations += dropped
-        if dropped:
-            get_metrics().counter("reuse.invalidations").inc(dropped)
-        return carried, dropped
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -409,103 +372,6 @@ class ReuseCache:
                 "entries": len(self._entries) + len(self._packed),
                 "bytes": self._bytes,
             }
-
-
-# ----------------------------------------------------------------------
-# Mutation-aware migration
-# ----------------------------------------------------------------------
-def affected_shard_keys(
-    inserts: Optional[np.ndarray],
-    deletes: Optional[np.ndarray],
-    interval_size: int,
-    num_intervals: int,
-) -> set:
-    """Row-major shard keys touched by a mutation batch.
-
-    ``inserts``/``deletes`` are ``(k, >=2)`` arrays of (src, dst[, w])
-    rows; a shard is touched when any mutated edge lands in its
-    (source interval, destination interval) cell.
-    """
-    keys: set = set()
-    for batch in (inserts, deletes):
-        if batch is None or len(batch) == 0:
-            continue
-        arr = np.asarray(batch)
-        si = arr[:, 0].astype(np.int64) // interval_size
-        dj = arr[:, 1].astype(np.int64) // interval_size
-        keys.update(int(k) for k in np.unique(si * num_intervals + dj))
-    return keys
-
-
-def _shard_xbar_table(
-    grid: "ShardGrid", order: str, cam_rows: int
-) -> Dict[int, Tuple[int, int, int]]:
-    """Per shard key: (first crossbar id, crossbar count, edge count)
-    under one streaming order — the same shard-major assignment
-    :func:`~repro.core.loader.build_layout` produces."""
-    keys = grid._keys
-    counts = np.diff(grid._starts)
-    k = grid.partition.num_intervals
-    if order == "col":
-        positions = np.lexsort((keys // k, keys % k))
-        keys = keys[positions]
-        counts = counts[positions]
-    xbars = -(-counts // cam_rows)
-    offsets = np.concatenate(([0], np.cumsum(xbars)[:-1]))
-    return {
-        int(key): (int(off), int(num), int(edges))
-        for key, off, num, edges in zip(keys, offsets, xbars, counts)
-    }
-
-
-def migrate_for_mutation(
-    cache: ReuseCache,
-    old_graph: "Graph",
-    new_graph: "Graph",
-    old_grid: "ShardGrid",
-    new_grid: "ShardGrid",
-    config: "ArchConfig",
-    inserts: Optional[np.ndarray],
-    deletes: Optional[np.ndarray],
-) -> Dict[str, int]:
-    """Sub-shard-granular reuse migration across one graph mutation.
-
-    For each warmed streaming order, crossbars whose sub-shard the
-    mutation did not touch (same shard key, same edge count, no
-    mutated edge inside) hold byte-identical contents in the new
-    layout — entries keyed by such a crossbar index are re-keyed from
-    the old content token to the new one. Touched crossbars, and
-    layout-wide entries, are dropped and counted as
-    ``reuse.invalidations``. Every micro-engine entry is layout-wide
-    (its packed keys, PageRank's gang hit matrix and the traversal
-    gang searches each span every crossbar), so a mutation drops them
-    all.
-    """
-    interval_size = old_grid.partition.interval_size
-    touched = affected_shard_keys(
-        inserts, deletes, interval_size,
-        old_grid.partition.num_intervals,
-    )
-    carried_total = 0
-    dropped_total = 0
-    for order in ("col", "row"):
-        old_table = _shard_xbar_table(old_grid, order, config.cam_rows)
-        new_table = _shard_xbar_table(new_grid, order, config.cam_rows)
-        unit_map: Dict[object, object] = {}
-        for key, (old_off, old_num, old_edges) in old_table.items():
-            if key in touched or key not in new_table:
-                continue
-            new_off, new_num, new_edges = new_table[key]
-            if old_edges != new_edges or old_num != new_num:
-                continue  # repacked shard; contents may have shifted
-            for slot in range(old_num):
-                unit_map[old_off + slot] = new_off + slot
-        old_token = layout_token(old_graph, interval_size, order, config)
-        new_token = layout_token(new_graph, interval_size, order, config)
-        carried, dropped = cache.migrate(old_token, new_token, unit_map)
-        carried_total += carried
-        dropped_total += dropped
-    return {"carried": carried_total, "invalidated": dropped_total}
 
 
 # ----------------------------------------------------------------------

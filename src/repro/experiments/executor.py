@@ -87,17 +87,14 @@ class RunManifest:
         return totals
 
     @property
+    def cache_stats(self) -> layout_cache.CacheStats:
+        """The summed counters as one :class:`CacheStats`."""
+        return layout_cache.CacheStats(**self.cache_totals)
+
+    @property
     def cache_hit_rate(self) -> float:
         """Fraction of grid/layout lookups served from either tier."""
-        t = self.cache_totals
-        hits = (
-            t.get("grid_hits", 0)
-            + t.get("grid_disk_hits", 0)
-            + t.get("layout_hits", 0)
-            + t.get("layout_disk_hits", 0)
-        )
-        lookups = hits + t.get("grid_misses", 0) + t.get("layout_misses", 0)
-        return hits / lookups if lookups else 0.0
+        return self.cache_stats.hit_rate
 
     def to_dict(self) -> dict:
         """JSON-serializable form (written as ``manifest.json``)."""
@@ -122,19 +119,12 @@ class RunManifest:
                 f"0 experiments (nothing matched the request); "
                 f"{self.wall_time_s:.2f}s elapsed"
             )
-        t = self.cache_totals
-        hits = (
-            t.get("grid_hits", 0)
-            + t.get("grid_disk_hits", 0)
-            + t.get("layout_hits", 0)
-            + t.get("layout_disk_hits", 0)
-        )
-        misses = t.get("grid_misses", 0) + t.get("layout_misses", 0)
+        stats = self.cache_stats
         return (
             f"{len(self.entries)} experiments in {self.wall_time_s:.2f}s "
             f"({self.jobs} worker{'s' if self.jobs != 1 else ''}); "
-            f"layout/grid cache: {hits} hits / {misses} misses "
-            f"({self.cache_hit_rate:.0%} hit rate)"
+            f"layout/grid cache: {stats.hits} hits / {stats.misses} misses "
+            f"({stats.hit_rate:.0%} hit rate)"
         )
 
 

@@ -174,24 +174,26 @@ class ShardGrid:
             return None
         return self._shard_at(pos)
 
-    def iter_shards(self, order: str = "row") -> Iterator[Shard]:
-        """Iterate non-empty shards.
+    def shard_positions(self, order: str = "row") -> np.ndarray:
+        """Positions of the non-empty shards in streaming ``order``.
 
         ``order="row"`` walks increasing source interval (then
         destination), the layout suited to source-driven algorithms;
         ``order="col"`` walks increasing destination interval, suited to
-        destination-driven ones (PageRank).
+        destination-driven ones (PageRank). Positions index the
+        row-major shard arrays (:meth:`shard_edge_counts`).
         """
-        k = self.partition.num_intervals
         if order == "row":
-            positions = range(self.num_shards)
-        elif order == "col":
-            si = self._keys // k
-            dj = self._keys % k
-            positions = np.lexsort((si, dj))
-        else:
-            raise PartitionError(f"unknown shard order: {order!r}")
-        for pos in positions:
+            return np.arange(self.num_shards, dtype=np.int64)
+        if order == "col":
+            k = self.partition.num_intervals
+            return np.lexsort((self._keys // k, self._keys % k))
+        raise PartitionError(f"unknown shard order: {order!r}")
+
+    def iter_shards(self, order: str = "row") -> Iterator[Shard]:
+        """Iterate non-empty shards in streaming ``order``
+        (see :meth:`shard_positions`)."""
+        for pos in self.shard_positions(order):
             yield self._shard_at(int(pos))
 
     def shard_edge_counts(self) -> np.ndarray:

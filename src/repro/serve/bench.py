@@ -189,7 +189,7 @@ class MutateBench:
             mutate_lat: List[float] = []
             requery_lat: List[float] = []
             hit_rates: List[float] = []
-            carried = invalidated = 0
+            invalidated = 0
             for _ in range(self.rounds):
                 inserts = rng.integers(
                     0, num_vertices, size=(self.batch, 2)
@@ -206,7 +206,6 @@ class MutateBench:
                     )
                 )
                 mutate_lat.append(float(summary["latency_s"]))
-                carried += int(summary["reuse_carried"])
                 invalidated += int(summary["reuse_invalidated"])
                 result = await service.submit(
                     QueryRequest(
@@ -240,7 +239,6 @@ class MutateBench:
                 ),
                 "reuse.hit_rate": float(np.mean(hit_rates)),
                 "serve.mutations": float(stats["mutations"]),
-                "serve.mutate_reuse_carried": float(carried),
                 "serve.mutate_reuse_invalidated": float(invalidated),
                 "serve.errors": float(stats["errors"]),
             }

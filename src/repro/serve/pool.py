@@ -126,14 +126,13 @@ class WarmSession:
         The graph is immutable, so mutation means: derive the new
         graph (:meth:`~repro.graphs.graph.Graph.with_edges`), derive
         its shard grid incrementally from the old one and seed the
-        layout cache with it, migrate the reuse cache at sub-shard
-        granularity (crossbars whose sub-shard the batch did not touch
-        carry their memoized searches to the new content token;
-        touched ones are invalidated), then rebuild the engine and
-        re-warm both streaming orders. Warm algorithm state survives
-        where it is still sound: previous PageRank ranks stay as a
-        warm start (they seed residuals, not truth), previous WCC
-        labels become a ``(labels, seed)`` warm state via
+        in-process layout cache with it, invalidate the old graph's
+        reuse entries (every one is layout-wide, so none survives a
+        mutation), then rebuild the engine and re-warm both streaming
+        orders. Warm algorithm state survives where it is still sound:
+        previous PageRank ranks stay as a warm start (they seed
+        residuals, not truth), previous WCC labels become a
+        ``(labels, seed)`` warm state via
         :func:`~repro.core.algorithms.incremental.wcc_warm_state`.
 
         The caller (the service) serializes this against kernel runs
@@ -141,11 +140,7 @@ class WarmSession:
         response.
         """
         from ..core.cache import get_cache
-        from ..core.reuse import (
-            get_reuse_cache,
-            migrate_for_mutation,
-            reuse_enabled,
-        )
+        from ..core.reuse import get_reuse_cache, layout_token
         from ..graphs.graph import normalize_mutation
         from ..graphs.partition import mutate_grid
 
@@ -158,12 +153,14 @@ class WarmSession:
         new_graph = old_graph.with_edges(inserts=ins, deletes=dels)
         new_grid = mutate_grid(old_grid, new_graph, inserts=ins, deletes=dels)
         get_cache().seed_grid(new_graph, engine.interval_size, new_grid)
-        migration = {"carried": 0, "invalidated": 0}
-        if reuse_enabled():
-            migration = migrate_for_mutation(
-                get_reuse_cache(), old_graph, new_graph,
-                old_grid, new_grid, engine.config, ins, dels,
+        invalidated = sum(
+            get_reuse_cache().invalidate(
+                layout_token(
+                    old_graph, engine.interval_size, order, engine.config
+                )
             )
+            for order in WARM_ORDERS
+        )
         self.engine = GaaSXEngine(
             new_graph, config=self.config,
             interval_size=engine.interval_size,
@@ -189,8 +186,7 @@ class WarmSession:
             "pool.session_mutated", dataset=self.dataset,
             profile=self.profile, inserts=int(ins.shape[0]),
             deletes=int(dels.shape[0]), edges=new_graph.num_edges,
-            carried=migration["carried"],
-            invalidated=migration["invalidated"],
+            invalidated=invalidated,
         )
         return {
             "old_content_key": old_key,
@@ -199,8 +195,7 @@ class WarmSession:
             "num_edges": new_graph.num_edges,
             "inserts": int(ins.shape[0]),
             "deletes": int(dels.shape[0]),
-            "reuse_carried": migration["carried"],
-            "reuse_invalidated": migration["invalidated"],
+            "reuse_invalidated": invalidated,
             "mutations_applied": self.mutations_applied,
         }
 

@@ -14,6 +14,7 @@ from repro.core.cache import (
     graph_fingerprint,
 )
 from repro.core.loader import build_layout
+from repro.graphs import Graph
 from repro.graphs.generators import rmat
 from repro.graphs.partition import partition_graph
 
@@ -23,6 +24,72 @@ def _isolated_global_cache():
     """Keep global-cache mutations from leaking into other tests."""
     yield
     layout_cache.reset_cache()
+
+
+def _reference_layout(grid, order, config):
+    """Straightforward shard-by-shard concatenation over ``iter_shards``:
+    the reference ``build_layout``'s vectorized form must reproduce."""
+    src, dst, weight, xbar_of_edge = [], [], [], []
+    num_xbars = 0
+    for shard in grid.iter_shards(order):
+        src.append(shard.src)
+        dst.append(shard.dst)
+        weight.append(shard.weight)
+        xbar_of_edge.append(
+            num_xbars + np.arange(shard.num_edges) // config.cam_rows
+        )
+        num_xbars += -(-shard.num_edges // config.cam_rows)
+    if not src:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=np.float64), empty, 0
+    return (
+        np.concatenate(src), np.concatenate(dst), np.concatenate(weight),
+        np.concatenate(xbar_of_edge), num_xbars,
+    )
+
+
+def _assert_layouts_equal(layout, expected):
+    src, dst, weight, xbar_of_edge, num_xbars = expected
+    for got, want in (
+        (layout.src, src), (layout.dst, dst), (layout.weight, weight),
+        (layout.xbar_of_edge, xbar_of_edge),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert layout.num_xbars == num_xbars
+
+
+class TestBuildLayout:
+    @pytest.mark.parametrize("order", ["row", "col"])
+    @pytest.mark.parametrize("interval", [5, 16, 64, 1000])
+    def test_matches_shard_concatenation(self, medium_rmat, order, interval):
+        config = ArchConfig(cam_rows=16, mac_rows=16)
+        grid = partition_graph(medium_rmat, interval)
+        _assert_layouts_equal(
+            build_layout(grid, order, config),
+            _reference_layout(grid, order, config),
+        )
+
+    @pytest.mark.parametrize("order", ["row", "col"])
+    def test_empty_graph(self, order):
+        graph = Graph.from_edge_list(
+            np.empty((0, 2), dtype=np.int64), num_vertices=10
+        )
+        grid = partition_graph(graph, 4)
+        _assert_layouts_equal(
+            build_layout(grid, order, ArchConfig()),
+            _reference_layout(grid, order, ArchConfig()),
+        )
+
+    def test_row_layout_shares_the_grid(self, small_rmat):
+        grid = partition_graph(small_rmat, 16)
+        row = build_layout(grid, "row", ArchConfig())
+        col = build_layout(grid, "col", ArchConfig())
+        for name in ("src", "dst", "weight"):
+            assert np.shares_memory(getattr(row, name), getattr(grid, name))
+            assert not np.shares_memory(
+                getattr(col, name), getattr(grid, name)
+            )
 
 
 class TestFingerprints:
@@ -118,24 +185,28 @@ class TestDiskTier:
         fresh = partition_graph(small_rmat, 16)
         np.testing.assert_array_equal(restored.src, fresh.src)
 
-    def test_layout_rehydrates_across_instances(self, small_rmat, tmp_path):
+    def test_layouts_are_derived_never_stored(self, small_rmat, tmp_path):
         config = ArchConfig()
         warm = LayoutCache(disk_dir=str(tmp_path))
         grid = warm.grid(small_rmat, 16)
-        original = warm.layout(small_rmat, grid, "row", config)
+        for order in ("row", "col"):
+            warm.layout(small_rmat, grid, order, config)
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 1 and warm.stats.disk_writes == 1
 
+        # A fresh process stand-in: the grid is a disk hit, and both
+        # layouts are rebuilt from it without touching the disk.
         cold = LayoutCache(disk_dir=str(tmp_path))
-        restored = cold.layout(
-            small_rmat, cold.grid(small_rmat, 16), "row", config
-        )
-        assert cold.stats.layout_disk_hits == 1
-        np.testing.assert_array_equal(restored.src, original.src)
-        np.testing.assert_array_equal(
-            restored.xbar_of_edge, original.xbar_of_edge
-        )
-        assert restored.num_xbars == original.num_xbars
-        fresh = build_layout(grid, "row", config)
-        np.testing.assert_array_equal(restored.src, fresh.src)
+        restored_grid = cold.grid(small_rmat, 16)
+        assert cold.stats.grid_disk_hits == 1
+        for order in ("row", "col"):
+            restored = cold.layout(small_rmat, restored_grid, order, config)
+            _assert_layouts_equal(
+                restored, _reference_layout(grid, order, config)
+            )
+        assert cold.stats.layout_misses == 2
+        assert cold.stats.disk_writes == 0
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_corrupt_entry_is_a_miss(self, small_rmat, tmp_path):
         warm = LayoutCache(disk_dir=str(tmp_path))
@@ -160,8 +231,9 @@ class TestDiskTier:
 
 class TestStats:
     def test_hit_rate(self):
-        stats = CacheStats(grid_hits=3, layout_disk_hits=1, grid_misses=1)
+        stats = CacheStats(grid_hits=3, grid_disk_hits=1, grid_misses=1)
         assert stats.hits == 4
+        assert stats.misses == 1
         assert stats.lookups == 5
         assert stats.hit_rate == pytest.approx(0.8)
 

@@ -124,13 +124,25 @@ class TestIncrementalPageRank:
         )
         assert restarted.iterations < 60
 
-    def test_disabled_reuse_falls_back_to_full(self, small_rmat):
-        set_reuse_enabled(False)
+    def test_disabled_reuse_still_runs_delta(self, small_rmat):
+        """``REPRO_REUSE`` gates memoization only: with it off, the
+        delta algorithm runs and answers exactly as it does with it on
+        (ranks, iterations and EventLog)."""
         engine = GaaSXEngine(small_rmat)
-        full = engine.pagerank(iterations=10)
-        fallback = engine.pagerank(iterations=10, incremental=True)
-        assert np.array_equal(fallback.ranks, full.ranks)
-        assert fallback.iterations == full.iterations
+        warm = engine.pagerank(iterations=5).ranks
+        runs = []
+        for enabled in (True, False):
+            set_reuse_enabled(enabled)
+            runs.append(engine.pagerank(
+                iterations=30, tolerance=1e-8, incremental=True,
+                warm_ranks=warm,
+            ))
+        on, off = runs
+        assert np.array_equal(off.ranks, on.ranks)
+        assert off.iterations == on.iterations
+        assert off.stats.events.as_dict() == on.stats.events.as_dict()
+        full = engine.pagerank(iterations=30, tolerance=1e-8)
+        assert off.stats.events.as_dict() != full.stats.events.as_dict()
 
     def test_personalization_is_rejected(self, small_rmat):
         engine = GaaSXEngine(small_rmat)
@@ -200,16 +212,17 @@ class TestMemoizedParity:
         self, small_rmat
     ):
         """The delta path charges real search/MAC events (nonzero),
-        and disabling reuse reproduces the full kernel's accounting
-        exactly."""
+        and its memoized accounting equals the unmemoized one."""
         engine = GaaSXEngine(small_rmat)
         incremental = engine.pagerank(
             iterations=10, incremental=True
         )
         assert incremental.stats.events.cam_searches > 0
+        replayed = engine.pagerank(iterations=10, incremental=True)
         set_reuse_enabled(False)
-        full = engine.pagerank(iterations=10)
-        fallback = engine.pagerank(iterations=10, incremental=True)
-        assert (
-            fallback.stats.events.as_dict() == full.stats.events.as_dict()
-        )
+        unmemoized = engine.pagerank(iterations=10, incremental=True)
+        for run in (replayed, unmemoized):
+            assert (
+                run.stats.events.as_dict()
+                == incremental.stats.events.as_dict()
+            )

@@ -3,7 +3,7 @@
 Equivalence of memoized vs. non-memoized *results* (ranks, events,
 per-array counters) is proven in ``test_incremental.py`` and
 ``test_micro_equivalence.py``; this file pins the cache mechanics —
-LRU bounds, invalidation, migration, the enable switch, and the
+LRU bounds, invalidation, the enable switch, and the
 per-thread scope tally.
 """
 
@@ -15,17 +15,14 @@ from repro.core.engine import GaaSXEngine, default_interval_size
 from repro.core.micro import MicroGaaSX
 from repro.core.reuse import (
     ReuseCache,
-    affected_shard_keys,
     frontier_fingerprint,
     get_reuse_cache,
     layout_token,
-    migrate_for_mutation,
     reset_reuse_cache,
     reuse_enabled,
     reuse_scope,
     set_reuse_enabled,
 )
-from repro.graphs.partition import mutate_grid, partition_graph
 from repro.obs.hw import HW_COUNTERS, HwMonitor
 
 
@@ -146,17 +143,6 @@ class TestReuseCache:
         assert cache.invalidate() == 2
         assert cache.describe()["entries"] == 0
 
-    def test_migrate_carries_mapped_units_only(self):
-        cache = ReuseCache()
-        cache.store("old", 0, "fp", np.arange(2))
-        cache.store("old", 1, "fp", np.arange(2))
-        cache.store("old", "gang", "fp", np.arange(2))
-        carried, dropped = cache.migrate("old", "new", {0: 5})
-        assert (carried, dropped) == (1, 2)
-        assert cache.lookup("new", 5, "fp") is not None
-        assert cache.lookup("old", 0, "fp") is None
-        assert cache.invalidations == 2
-
     def test_describe_shape(self):
         cache = ReuseCache()
         cache.store("t", 0, "fp", np.arange(2))
@@ -266,63 +252,16 @@ class TestMicroIntegration:
         assert (scope.misses, scope.hits) == (2, 2)
 
     def test_mutation_drops_micro_entries(self, small_rmat):
+        """Every micro entry lives in the layout's token namespace, so
+        invalidating the old graph's tokens (what a mutation does)
+        drops them all."""
         _micro_run(small_rmat, "pagerank", reuse=True)
         interval = default_interval_size(small_rmat.num_vertices)
-        grid = partition_graph(small_rmat, interval)
-        inserts = np.array([[1, 2, 1.0]])
-        new_graph = small_rmat.with_edges(inserts=inserts)
-        migration = migrate_for_mutation(
-            get_reuse_cache(), small_rmat, new_graph, grid,
-            mutate_grid(grid, new_graph, inserts=inserts), ArchConfig(),
-            inserts, None,
+        dropped = sum(
+            get_reuse_cache().invalidate(
+                layout_token(small_rmat, interval, order, ArchConfig())
+            )
+            for order in ("col", "row")
         )
-        assert migration == {"carried": 0, "invalidated": 2}
+        assert dropped == 2
         assert get_reuse_cache().describe()["entries"] == 0
-
-
-class TestMutationMigration:
-    def test_affected_shard_keys(self):
-        touched = affected_shard_keys(
-            np.array([[0, 5, 1.0]]), np.array([[5, 0, 1.0]]),
-            interval_size=4, num_intervals=2,
-        )
-        assert touched == {0 * 2 + 1, 1 * 2 + 0}
-
-    def test_untouched_shards_carry_touched_drop(self, medium_rmat):
-        config = ArchConfig()
-        grid = partition_graph(medium_rmat, 64)
-        cache = ReuseCache()
-        # One entry per crossbar of the col order plus a layout-wide one.
-        token = layout_token(medium_rmat, 64, "col", config)
-        table = {}
-        from repro.core.reuse import _shard_xbar_table
-
-        for key, (off, num, _edges) in _shard_xbar_table(
-            grid, "col", config.cam_rows
-        ).items():
-            for slot in range(num):
-                cache.store(token, off + slot, "fp", np.arange(2))
-                table[off + slot] = key
-        cache.store(token, "gang", "fp", np.arange(2))
-        # Mutate inside exactly one interval cell.
-        inserts = np.array([[1, 2, 1.0]])
-        new_graph = medium_rmat.with_edges(inserts=inserts)
-        new_grid = mutate_grid(grid, new_graph, inserts=inserts)
-        migration = migrate_for_mutation(
-            cache, medium_rmat, new_graph, grid, new_grid, config,
-            inserts, None,
-        )
-        touched = affected_shard_keys(
-            inserts, None, grid.partition.interval_size,
-            grid.partition.num_intervals,
-        )
-        untouched_xbars = [
-            unit for unit, key in table.items() if key not in touched
-        ]
-        assert migration["carried"] == len(untouched_xbars)
-        # The touched crossbar(s) and the layout-wide entry dropped.
-        assert migration["invalidated"] == (
-            len(table) - len(untouched_xbars) + 1
-        )
-        new_token = layout_token(new_graph, 64, "col", config)
-        assert cache.lookup(new_token, untouched_xbars[0], "fp") is not None

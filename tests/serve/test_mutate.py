@@ -1,9 +1,10 @@
 """The mutable-graph serve path: request schema, service, HTTP route.
 
 What must hold end to end: a mutation rebinds the warm session to the
-new content identity, the reuse cache migrates (never serves stale
-state), warm algorithm state survives where sound, and every counter
-surface (/stats, modelled payload) reports the reuse economics.
+new content identity, the old graph's reuse entries are invalidated
+(never served stale), warm algorithm state survives where sound, and
+every counter surface (/stats, modelled payload) reports the reuse
+economics.
 """
 
 import asyncio

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ArchConfig
+from repro.core import cache as layout_cache
 from repro.core.engine import GaaSXEngine
 from repro.errors import StorageError
 from repro.graphs.datasets import load_dataset
@@ -88,3 +89,21 @@ class TestPoolSharing:
         # Exactly one conversion happened for the whole pool.
         assert len(stored.entries()) == 1
         pool.clear()
+
+
+class TestMutationLeavesDiskAlone:
+    def test_apply_mutation_writes_no_cache_file(self, tiny_config, tmp_path):
+        cache_dir = tmp_path / "cache"
+        layout_cache.reset_cache()
+        layout_cache.enable_disk_cache(str(cache_dir))
+        try:
+            session = WarmSession("WV", "tiny", tiny_config)
+            before = sorted(p.name for p in cache_dir.iterdir())
+            assert before  # the session's own grid was persisted
+            session.apply_mutation(inserts=[[1, 2]], deletes=[[0, 1]])
+            # The mutated graph lives only in this process: its grid is
+            # seeded in memory, and the rebuilt engine hits it there.
+            assert sorted(p.name for p in cache_dir.iterdir()) == before
+            assert layout_cache.get_cache().stats.grid_hits >= 1
+        finally:
+            layout_cache.reset_cache()
