@@ -1,8 +1,11 @@
 """GraphR engine: dense-mapping event accounting.
 
-Mirrors :class:`repro.core.engine.GaaSXEngine` in structure and
-functional semantics (the numerical results are identical — both
-execute the same SpMV recurrences), but with GraphR's cost structure:
+Mirrors :class:`repro.core.engine.GaaSXEngine` in structure, but with
+GraphR's cost structure. The numerical results are GaaS-X's by
+construction: both engines price the one functional execution of
+:mod:`repro.core.algorithms.execution` (distances and per-superstep
+frontiers, ranks, factors) and compute nothing themselves. GraphR's
+costs:
 
 * One-time COO storage into memory ReRAM (charged identically in kind
   to GaaS-X's one-time sparse load, so the comparison isolates the
@@ -20,8 +23,10 @@ execute the same SpMV recurrences), but with GraphR's cost structure:
   MAC at a time* per tile row — without a CAM there is no hit vector to
   selectively enable word lines (Section V-B: "GraphR can process only
   one row at a time in the graph tile, leading to lower parallelism").
-  Constructor flag ``frontier_tile_skipping=True`` grants GraphR
-  hypothetical tile-granular frontier skipping for ablation studies.
+  Each superstep reads ``dist(u)`` once per (tile, src) row of a
+  frontier source. Constructor flag ``frontier_tile_skipping=True``
+  grants GraphR hypothetical tile-granular frontier skipping for
+  ablation studies.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ from typing import Optional
 import numpy as np
 
 from ...config import GraphRConfig
-from ...core.algorithms.cf import initial_factors, reference_epoch
-from ...core.algorithms.pagerank import reference_iteration
+from ...core.algorithms import execution
 from ...core.controller import build_plan, record_plan
-from ...core.engine import gather_ranges
 from ...core.stats import CFResult, PageRankResult, RunStats, TraversalResult
 from ...obs.metrics import observe_event_counts
 from ...obs.trace import get_tracer
@@ -165,8 +168,14 @@ class GraphREngine:
         return stats
 
     # ------------------------------------------------------------------
-    # Kernels
+    # Kernels: each prices the shared functional execution
     # ------------------------------------------------------------------
+    def _span(self, algorithm: str):
+        return get_tracer().span(
+            "engine.run", category="engine",
+            engine="graphr", algorithm=algorithm,
+        )
+
     def pagerank(
         self,
         alpha: float = 0.85,
@@ -174,119 +183,77 @@ class GraphREngine:
         tolerance: Optional[float] = None,
     ) -> PageRankResult:
         """PageRank with GraphR's full-tile parallel MAC per sub-block."""
-        with get_tracer().span(
-            "engine.run", category="engine",
-            engine="graphr", algorithm="pagerank",
-        ):
-            return self._pagerank(alpha, iterations, tolerance)
+        with self._span("pagerank"):
+            n = self.graph.num_vertices
+            trace = execution.pagerank(
+                self.graph, alpha, iterations, tolerance
+            )
+            executed = trace.iterations
+            events = EventLog()
+            load_time = self._account_storage(events)
 
-    def _pagerank(
-        self,
-        alpha: float,
-        iterations: int,
-        tolerance: Optional[float],
-    ) -> PageRankResult:
-        graph = self.graph
-        n = graph.num_vertices
-        out_deg = graph.out_degrees().astype(np.float64)
-        inv = np.divide(1.0, out_deg, out=np.zeros(n), where=out_deg > 0)
-        src, dst = graph.edges.rows, graph.edges.cols
+            all_tiles = np.arange(self.layout.num_tiles)
+            t = self.config.tile_size
+            pass_events = EventLog()
+            pass_time = self._account_conversion(pass_events, all_tiles)
+            pass_time += self._account_tile_macs(
+                pass_events, all_tiles, macs_per_tile=1,
+                rows_per_mac=t, cols_engaged=t,
+            )
+            # Per tile: t partial-sum accumulations; per vertex: damping.
+            pass_events.sfu_ops += self.layout.num_tiles * t + 2 * n
+            pass_events.buffer_reads += self.layout.num_tiles * t  # ranks
+            pass_events.buffer_writes += n
+            events.merge(pass_events.scaled(executed))
+            compute_time = pass_time * executed
 
-        events = EventLog()
-        load_time = self._account_storage(events)
-        ranks = np.ones(n)
-        executed = 0
-        for _ in range(iterations):
-            new_ranks = reference_iteration(ranks, src, dst, inv, alpha)
-            executed += 1
-            delta = float(np.max(np.abs(new_ranks - ranks))) if n else 0.0
-            ranks = new_ranks
-            if tolerance is not None and delta < tolerance:
-                break
-
-        all_tiles = np.arange(self.layout.num_tiles)
-        t = self.config.tile_size
-        pass_events = EventLog()
-        pass_time = self._account_conversion(pass_events, all_tiles)
-        pass_time += self._account_tile_macs(
-            pass_events, all_tiles, macs_per_tile=1,
-            rows_per_mac=t, cols_engaged=t,
-        )
-        # Per tile: t partial-sum accumulations; per vertex: damping.
-        pass_events.sfu_ops += self.layout.num_tiles * t + 2 * n
-        pass_events.buffer_reads += self.layout.num_tiles * t  # rank inputs
-        pass_events.buffer_writes += n
-        events.merge(pass_events.scaled(executed))
-        compute_time = pass_time * executed
-
-        stats = self._finalize(events, load_time, compute_time, executed)
-        return PageRankResult(ranks=ranks, iterations=executed, stats=stats)
+            stats = self._finalize(events, load_time, compute_time, executed)
+            return PageRankResult(
+                ranks=trace.ranks.copy(), iterations=executed, stats=stats
+            )
 
     def _traversal(self, source: int, weighted: bool) -> TraversalResult:
-        with get_tracer().span(
-            "engine.run", category="engine",
-            engine="graphr", algorithm="sssp" if weighted else "bfs",
-        ):
-            return self._traversal_impl(source, weighted)
+        with self._span("sssp" if weighted else "bfs"):
+            trace = execution.traversal(self.graph, source, weighted)
+            t = self.config.tile_size
+            events = EventLog()
+            load_time = self._account_storage(events)
+            compute_time = 0.0
+            touched = np.arange(self.layout.num_tiles)
+            for frontier in trace.frontiers:
+                if self.frontier_tile_skipping:
+                    groups = self.layout.groups_by_src()
+                    touched = np.unique(
+                        groups.tile_pos[np.isin(groups.vertex, frontier)]
+                    )
+                # Re-convert every processed tile this superstep (scratch
+                # compute arrays), then stream its rows one MAC at a time.
+                compute_time += self._account_conversion(events, touched)
+                compute_time += self._account_tile_macs(
+                    events, touched, macs_per_tile=t,
+                    rows_per_mac=1, cols_engaged=t,
+                )
+                # SFU: one min-compare per produced candidate (t per row
+                # MAC, valid or not — dense output has no validity bits).
+                events.sfu_ops += int(touched.size) * t * t
+                # One dist(u) read per (tile, src) row of the frontier.
+                events.buffer_reads += int(
+                    self.layout.groups_per_src()[frontier].sum()
+                )
+            # One min-select and writeback per improved destination.
+            improved = int(trace.frontier_sizes[1:].sum())
+            events.sfu_ops += improved
+            events.buffer_writes += improved
 
-    def _traversal_impl(self, source: int, weighted: bool) -> TraversalResult:
-        graph = self.graph
-        n = graph.num_vertices
-        if not 0 <= source < n:
-            raise AlgorithmError(f"source {source} out of range [0, {n})")
-        if weighted and graph.num_edges and graph.weights.min() < 0:
-            raise AlgorithmError("SSSP requires non-negative edge weights")
-        groups = self.layout.groups_by_src()
-        group_starts = groups.group_offsets[:-1]
-        t = self.config.tile_size
-
-        events = EventLog()
-        load_time = self._account_storage(events)
-        dist = np.full(n, np.inf)
-        dist[source] = 0.0
-        active = np.zeros(n, dtype=bool)
-        active[source] = True
-        compute_time = 0.0
-        supersteps = 0
-        all_tiles = np.arange(self.layout.num_tiles)
-        while active.any():
-            group_mask = active[groups.vertex]
-            if self.frontier_tile_skipping:
-                touched = np.unique(groups.tile_pos[group_mask])
-            else:
-                touched = all_tiles
-            # Re-convert every processed tile this superstep (scratch
-            # compute arrays), then stream its rows one MAC at a time.
-            compute_time += self._account_conversion(events, touched)
-            compute_time += self._account_tile_macs(
-                events, touched, macs_per_tile=t,
-                rows_per_mac=1, cols_engaged=t,
+            stats = self._finalize(
+                events, load_time, compute_time, trace.supersteps
             )
-            # SFU: one min-compare per produced candidate (t per row
-            # MAC, valid or not — dense output has no validity bits).
-            events.sfu_ops += int(touched.size) * t * t
-            events.buffer_reads += int(group_mask.sum())
-            # Functional relaxation over the real edges only.
-            edge_slots = gather_ranges(
-                group_starts[group_mask], groups.count[group_mask]
+            return TraversalResult(
+                distances=trace.values.copy(),
+                source=source,
+                supersteps=trace.supersteps,
+                stats=stats,
             )
-            edges = groups.edge_perm[edge_slots]
-            candidates = dist[self.layout.src[edges]] + (
-                self.layout.weight[edges] if weighted else 1.0
-            )
-            new_dist = dist.copy()
-            np.minimum.at(new_dist, self.layout.dst[edges], candidates)
-            improved = new_dist < dist
-            events.sfu_ops += int(improved.sum())
-            events.buffer_writes += int(improved.sum())
-            dist = new_dist
-            active = improved
-            supersteps += 1
-
-        stats = self._finalize(events, load_time, compute_time, supersteps)
-        return TraversalResult(
-            distances=dist, source=source, supersteps=supersteps, stats=stats
-        )
 
     def bfs(self, source: int) -> TraversalResult:
         """Breadth-first search (unit weights)."""
@@ -311,75 +278,50 @@ class GraphREngine:
         MAC sweep and one accumulation sweep over all ``tile_size``
         rows, every feature column engaged.
         """
-        if self.bipartite is None:
-            raise AlgorithmError("collaborative filtering needs a bipartite graph")
-        with get_tracer().span(
-            "engine.run", category="engine",
-            engine="graphr", algorithm="cf",
-        ):
-            return self._collaborative_filtering(
-                num_features, epochs, learning_rate, regularization, seed
-            )
-
-    def _collaborative_filtering(
-        self,
-        num_features: int,
-        epochs: int,
-        learning_rate: float,
-        regularization: float,
-        seed: int,
-    ) -> CFResult:
         bi = self.bipartite
-        users, items = bi.ratings.rows, bi.ratings.cols
-        values = bi.ratings.data
-
-        events = EventLog()
-        load_time = self._account_storage(events)
-        segments = -(-num_features // 16)
-        feature_rows = (bi.num_users + bi.num_items) * segments
-        events.row_writes += feature_rows
-        events.cell_writes += (
-            (bi.num_users + bi.num_items) * num_features * self.config.bit_slices
-        )
-        load_time += (
-            feature_rows
-            / self.config.num_crossbars
-            * self.config.tech.write_row_latency_s
-        )
-
-        user_features, item_features = initial_factors(
-            bi.num_users, bi.num_items, num_features, seed
-        )
-        for _ in range(epochs):
-            user_features, item_features = reference_epoch(
-                users, items, values,
-                user_features, item_features,
-                learning_rate, regularization,
+        if bi is None:
+            raise AlgorithmError("collaborative filtering needs a bipartite graph")
+        with self._span("cf"):
+            trace = execution.cf(
+                bi, num_features, epochs, learning_rate, regularization, seed
+            )
+            ratings = bi.num_ratings
+            vertices = bi.num_users + bi.num_items
+            events = EventLog()
+            load_time = self._account_storage(events)
+            segments = -(-num_features // 16)
+            events.row_writes += vertices * segments
+            events.cell_writes += (
+                vertices * num_features * self.config.bit_slices
+            )
+            load_time += (
+                vertices * segments
+                / self.config.num_crossbars
+                * self.config.tech.write_row_latency_s
             )
 
-        all_tiles = np.arange(self.layout.num_tiles)
-        t = self.config.tile_size
-        pass_events = EventLog()
-        pass_time = self._account_conversion(pass_events, all_tiles)
-        # Two phases x (error sweep + accumulate sweep), dense rows.
-        for _phase in range(2):
-            for _sweep in range(2):
+            all_tiles = np.arange(self.layout.num_tiles)
+            t = self.config.tile_size
+            pass_events = EventLog()
+            pass_time = self._account_conversion(pass_events, all_tiles)
+            # Two phases x (error sweep + accumulate sweep), dense rows.
+            for _sweep in range(4):
                 pass_time += self._account_tile_macs(
                     pass_events, all_tiles,
                     macs_per_tile=t * segments,
                     rows_per_mac=1, cols_engaged=num_features,
                 )
-        pass_events.sfu_ops += 2 * values.size
-        pass_events.sfu_ops += 3 * num_features * (bi.num_users + bi.num_items)
-        pass_events.buffer_reads += 2 * values.size * segments
-        pass_events.buffer_writes += (bi.num_users + bi.num_items) * segments
-        events.merge(pass_events.scaled(epochs))
-        compute_time = pass_time * epochs
+            pass_events.sfu_ops += 2 * ratings
+            pass_events.sfu_ops += 3 * num_features * vertices
+            pass_events.buffer_reads += 2 * ratings * segments
+            pass_events.buffer_writes += vertices * segments
+            events.merge(pass_events.scaled(epochs))
+            compute_time = pass_time * epochs
 
-        stats = self._finalize(events, load_time, compute_time, epochs)
-        return CFResult(
-            user_features=user_features,
-            item_features=item_features,
-            epochs=epochs,
-            stats=stats,
-        )
+            stats = self._finalize(events, load_time, compute_time, epochs)
+            return CFResult(
+                user_features=trace.user_features.copy(),
+                item_features=trace.item_features.copy(),
+                epochs=epochs,
+                stats=stats,
+            )

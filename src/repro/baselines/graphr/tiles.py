@@ -11,7 +11,7 @@ vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -26,8 +26,6 @@ class TileGroupIndex:
     tile_pos: np.ndarray  # index into the layout's tile arrays, per group
     vertex: np.ndarray  # source vertex per group
     count: np.ndarray  # edges per group
-    edge_perm: np.ndarray
-    group_offsets: np.ndarray
 
     @property
     def num_groups(self) -> int:
@@ -55,6 +53,7 @@ class TileLayout:
     tile_nnz: np.ndarray
     tile_offsets: np.ndarray
     _groups: Dict[str, TileGroupIndex] = field(default_factory=dict)
+    _groups_per_src: Optional[np.ndarray] = None
 
     @property
     def num_tiles(self) -> int:
@@ -87,42 +86,40 @@ class TileLayout:
         return -(-self.num_tiles // self.config.tiles_per_batch)
 
     # ------------------------------------------------------------------
+    def groups_per_src(self) -> np.ndarray:
+        """``bincount(groups_by_src().vertex)`` without the sort (cached):
+        ``tile * tile_size + src % tile_size`` numbers the (tile, src)
+        pairs densely, so one marking pass dedupes them."""
+        if self._groups_per_src is None:
+            t = self.config.tile_size
+            rows = np.zeros(self.num_tiles * t, dtype=bool)
+            rows[
+                np.repeat(np.arange(self.num_tiles) * t, self.tile_nnz)
+                + self.src % t
+            ] = True
+            row_ids = np.flatnonzero(rows)
+            vertex = self.tile_row[row_ids // t] * t + row_ids % t
+            self._groups_per_src = np.bincount(
+                vertex, minlength=self.num_vertices
+            )
+        return self._groups_per_src
+
     def groups_by_src(self) -> TileGroupIndex:
         """Group edges by (tile, src): the rows GraphR's traversal
         kernels process one MAC at a time (cached)."""
-        if "src" in self._groups:
-            return self._groups["src"]
-        tile_of_edge = np.repeat(
-            np.arange(self.num_tiles), np.diff(self.tile_offsets)
-        )
-        perm = np.lexsort((self.src, tile_of_edge))
-        sorted_tile = tile_of_edge[perm]
-        sorted_src = self.src[perm]
-        if sorted_src.size == 0:
-            index = TileGroupIndex(
-                tile_pos=np.empty(0, dtype=np.int64),
-                vertex=np.empty(0, dtype=np.int64),
-                count=np.empty(0, dtype=np.int64),
-                edge_perm=perm,
-                group_offsets=np.zeros(1, dtype=np.int64),
+        if "src" not in self._groups:
+            tile_of_edge = np.repeat(np.arange(self.num_tiles), self.tile_nnz)
+            perm = np.lexsort((self.src, tile_of_edge))
+            tile, src = tile_of_edge[perm], self.src[perm]
+            head = np.ones(src.size, dtype=bool)
+            head[1:] = (tile[1:] != tile[:-1]) | (src[1:] != src[:-1])
+            starts = np.flatnonzero(head)
+            self._groups["src"] = TileGroupIndex(
+                tile_pos=tile[starts],
+                vertex=src[starts],
+                count=np.diff(np.append(starts, src.size)),
             )
-        else:
-            boundary = np.empty(sorted_src.size, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (sorted_tile[1:] != sorted_tile[:-1]) | (
-                sorted_src[1:] != sorted_src[:-1]
-            )
-            starts = np.flatnonzero(boundary)
-            offsets = np.append(starts, sorted_src.size)
-            index = TileGroupIndex(
-                tile_pos=sorted_tile[starts],
-                vertex=sorted_src[starts],
-                count=np.diff(offsets),
-                edge_perm=perm,
-                group_offsets=offsets,
-            )
-        self._groups["src"] = index
-        return index
+        return self._groups["src"]
 
 
 def build_tile_layout(graph: Graph, config: GraphRConfig) -> TileLayout:

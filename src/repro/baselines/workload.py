@@ -3,19 +3,21 @@
 The CPU/GPU software baselines are analytical cost models (Section V-A
 of the paper measures real machines; we have none), so all of them
 consume the same :class:`WorkloadTrace` — how many passes the algorithm
-ran and how many edges/vertices each pass touched — extracted from the
-same functional execution the accelerators perform. This guarantees
-every platform is priced on identical algorithmic work.
+ran and how many edges/vertices each pass touched. BFS/SSSP and WCC
+traces are views of the shared functional execution
+(:mod:`repro.core.algorithms.execution`) that GaaS-X and GraphR price
+too, so every platform is priced on identical algorithmic work.
+PageRank and CF touch every edge and vertex each pass, so their traces
+follow from the graph alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from ..errors import AlgorithmError
+from ..core.algorithms import execution
 from ..graphs.graph import BipartiteGraph, Graph
 
 
@@ -57,84 +59,25 @@ def trace_pagerank(graph: Graph, iterations: int = 10) -> WorkloadTrace:
     return WorkloadTrace("pagerank", graph.num_vertices, graph.num_edges, e, v)
 
 
+def _per_superstep(name: str, graph: Graph, trace) -> WorkloadTrace:
+    """A shared wavefront's edges and active vertices per superstep."""
+    return WorkloadTrace(name, graph.num_vertices, graph.num_edges,
+                         trace.edges_per_step.copy(), trace.frontier_sizes)
+
+
 def trace_traversal(
     graph: Graph, source: int, weighted: bool
 ) -> WorkloadTrace:
-    """Frontier sizes of the synchronous BFS/Bellman-Ford wavefront.
-
-    Runs the same relaxation the accelerator engines execute and
-    records, per superstep, the out-edges of the active frontier and
-    the frontier size.
-    """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise AlgorithmError(f"source {source} out of range [0, {n})")
-    csr = graph.csr()
-    out_deg = csr.row_degrees()
-    src = np.repeat(np.arange(n), out_deg)
-    dst = csr.indices
-    w = csr.data if weighted else np.ones(dst.size)
-    indptr = csr.indptr
-
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    active = np.zeros(n, dtype=bool)
-    active[source] = True
-    edges_per_pass: List[int] = []
-    verts_per_pass: List[int] = []
-    while active.any():
-        verts = np.flatnonzero(active)
-        spans = [np.arange(indptr[v], indptr[v + 1]) for v in verts]
-        edges = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-        edges_per_pass.append(int(edges.size))
-        verts_per_pass.append(int(verts.size))
-        new_dist = dist.copy()
-        if edges.size:
-            np.minimum.at(new_dist, dst[edges], dist[src[edges]] + w[edges])
-        active = new_dist < dist
-        dist = new_dist
-    return WorkloadTrace(
-        "sssp" if weighted else "bfs",
-        n,
-        graph.num_edges,
-        np.asarray(edges_per_pass, dtype=np.int64),
-        np.asarray(verts_per_pass, dtype=np.int64),
-    )
+    """Per superstep of the synchronous BFS/Bellman-Ford wavefront: the
+    active frontier's out-edges and size."""
+    trace = execution.traversal(graph, source, weighted)
+    return _per_superstep("sssp" if weighted else "bfs", graph, trace)
 
 
 def trace_wcc(graph: Graph) -> WorkloadTrace:
-    """Per-superstep work of synchronous min-label propagation.
-
-    Each superstep touches the out- and in-edges of the active set
-    (undirected connectivity), so the per-pass edge count doubles
-    relative to a directed sweep.
-    """
-    n = graph.num_vertices
-    csr = graph.csr()
-    csr_rev = graph.reversed().csr()
-    out_deg = csr.row_degrees()
-    in_deg = csr_rev.row_degrees()
-    labels = np.arange(n, dtype=np.int64)
-    active = (out_deg + in_deg) > 0
-    edges_per_pass: List[int] = []
-    verts_per_pass: List[int] = []
-    src, dst = graph.edges.rows, graph.edges.cols
-    while active.any():
-        verts = np.flatnonzero(active)
-        edges_per_pass.append(int(out_deg[verts].sum() + in_deg[verts].sum()))
-        verts_per_pass.append(int(verts.size))
-        new_labels = labels.copy()
-        fwd = active[src]
-        rev = active[dst]
-        np.minimum.at(new_labels, dst[fwd], labels[src[fwd]])
-        np.minimum.at(new_labels, src[rev], labels[dst[rev]])
-        active = new_labels < labels
-        labels = new_labels
-    return WorkloadTrace(
-        "cc", n, graph.num_edges,
-        np.asarray(edges_per_pass, dtype=np.int64),
-        np.asarray(verts_per_pass, dtype=np.int64),
-    )
+    """Per superstep of synchronous min-label propagation: the active
+    set's out- and in-edges (undirected connectivity) and its size."""
+    return _per_superstep("cc", graph, execution.wcc(graph))
 
 
 def trace_cf(bipartite: BipartiteGraph, epochs: int = 1) -> WorkloadTrace:

@@ -23,6 +23,7 @@ import numpy as np
 from ...errors import AlgorithmError
 from ...events import EventLog
 from ..stats import PageRankResult
+from . import execution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import GaaSXEngine
@@ -88,24 +89,8 @@ def run(
         layout, load_events, mac_values_per_edge=1
     )
 
-    out_deg = graph.out_degrees().astype(np.float64)
-    inv_outdeg = np.zeros(n, dtype=np.float64)
-    nonzero = out_deg > 0
-    inv_outdeg[nonzero] = 1.0 / out_deg[nonzero]
-
-    src = graph.edges.rows
-    dst = graph.edges.cols
-    ranks = np.ones(n, dtype=np.float64)
-    executed = 0
-    for _ in range(iterations):
-        new_ranks = reference_iteration(
-            ranks, src, dst, inv_outdeg, alpha, base=base
-        )
-        executed += 1
-        delta = float(np.max(np.abs(new_ranks - ranks))) if n else 0.0
-        ranks = new_ranks
-        if tolerance is not None and delta < tolerance:
-            break
+    trace = execution.pagerank(graph, alpha, iterations, tolerance, base)
+    executed = trace.iterations
 
     # Every iteration performs the identical search/MAC pass; account
     # one pass and scale by the number of executed iterations. The
@@ -155,4 +140,6 @@ def run(
         passes=executed,
         batches=layout.num_batches,
     )
-    return PageRankResult(ranks=ranks, iterations=executed, stats=stats)
+    return PageRankResult(
+        ranks=trace.ranks.copy(), iterations=executed, stats=stats
+    )

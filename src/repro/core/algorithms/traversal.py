@@ -13,13 +13,13 @@ BFS is SSSP with the weight column preset to the constant 1, which
 also removes the per-edge MAC attribute write at load time
 (Section IV: "without the overhead of loading edge weights").
 
-The software loop is O(frontier) per superstep, mirroring the work the
-modelled hardware actually performs: the frontier's edges come from
-the vertex->edges CSR index (not a mask over all groups), the
-relaxation scatters minima over only those edges, the new frontier is
-deduplicated without scanning the vertex set, and — in the resident
-case — all event/latency accounting is deferred into one vectorized
-pass at the end (:class:`~repro.core.engine.DeferredSearchAccounting`).
+The wavefront itself is computed once per (graph, source, kernel) by
+:func:`repro.core.algorithms.execution.traversal` and shared with
+GraphR and the CPU/GPU models; this module only prices its frontiers.
+Each superstep CAM-searches exactly the frontier's groups; in the
+resident case all event/latency accounting is deferred into one
+vectorized pass at the end
+(:class:`~repro.core.engine.DeferredSearchAccounting`).
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...errors import AlgorithmError
 from ...events import EventLog
-from ..engine import DeferredSearchAccounting, gather_ranges, unique_vertices
+from ..engine import DeferredSearchAccounting
 from ..stats import TraversalResult
+from . import execution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import GaaSXEngine
@@ -39,53 +39,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def run(engine: "GaaSXEngine", source: int, weighted: bool) -> TraversalResult:
     """Execute BFS (``weighted=False``) or SSSP and return distances."""
-    graph = engine.graph
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise AlgorithmError(f"source vertex {source} out of range [0, {n})")
-    if weighted and graph.num_edges and graph.weights.min() < 0:
-        raise AlgorithmError("SSSP requires non-negative edge weights")
-
+    n = engine.graph.num_vertices
+    trace = execution.traversal(engine.graph, source, weighted)
     layout = engine.layout("row")
     groups = layout.groups_by("src")
-    edge_offsets, edge_of = groups.edge_index(n)
-    # Adjacency pre-permuted into the CSR edge order: one gather per
-    # superstep instead of an edge-id indirection then a field gather.
-    src_adj = layout.src[edge_of]
-    dst_adj = layout.dst[edge_of]
-    weight_adj = layout.weight[edge_of] if weighted else None
 
     events = EventLog()
     mac_values = 1 if weighted else 0
     if engine.streaming:
-        load_time = 0.0  # charged per superstep below
-        deferred = None
-    else:
-        load_time = engine._account_load(
-            layout, events, mac_values_per_edge=mac_values
-        )
-        deferred = DeferredSearchAccounting(
-            engine.config, layout, groups, n, cols_engaged=2
-        )
-
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    scratch = np.zeros(n, dtype=bool)
-
-    compute_time = 0.0
-    supersteps = 0
-    buffer_reads = 0
-    buffer_writes = 0
-    sfu_ops = 0
-    while frontier.size:
-        supersteps += 1
-        if deferred is None:
-            # Re-stream every crossbar holding an active source's edges.
+        # Re-stream every crossbar holding an active source's edges.
+        load_time = 0.0
+        compute_time = 0.0
+        buffer_reads = 0
+        for frontier in trace.frontiers:
             gids = groups.groups_of(frontier, n)
-            xbar_mask = engine._active_xbar_mask(
-                layout, groups, group_ids=gids
-            )
+            xbar_mask = np.zeros(layout.num_xbars, dtype=bool)
+            xbar_mask[groups.xbar[gids]] = True
             load_time += engine._account_load(
                 layout, events,
                 xbar_mask=xbar_mask, mac_values_per_edge=mac_values,
@@ -94,42 +63,33 @@ def run(engine: "GaaSXEngine", source: int, weighted: bool) -> TraversalResult:
                 layout, groups, events, group_ids=gids, cols_engaged=2
             )
             buffer_reads += int(gids.size)  # one dist(u) read per search
-        else:
-            deferred.add(frontier)
-        # Functional relaxation over exactly the frontier's edges.
-        starts = edge_offsets[frontier]
-        idx = gather_ranges(starts, edge_offsets[frontier + 1] - starts)
-        if idx.size == 0:
-            frontier = np.empty(0, dtype=np.int64)
-            continue
-        candidates = dist[src_adj[idx]]
-        if weighted:
-            candidates += weight_adj[idx]
-        else:
-            candidates += 1.0
-        targets = dst_adj[idx]
-        before = dist[targets]
-        np.minimum.at(dist, targets, candidates)
-        frontier = unique_vertices(targets[dist[targets] < before], scratch)
-        # SFU/buffer accounting: one min-compare per candidate, one
-        # select+writeback per improved destination.
-        sfu_ops += int(idx.size) + int(frontier.size)
-        buffer_writes += int(frontier.size)
-
-    if deferred is not None:
-        compute_time += deferred.finalize(events)
-        buffer_reads += deferred.total_groups
+    else:
+        load_time = engine._account_load(
+            layout, events, mac_values_per_edge=mac_values
+        )
+        deferred = DeferredSearchAccounting(
+            engine.config, layout, groups, n, cols_engaged=2
+        )
+        deferred.add(*trace.frontiers)
+        compute_time = deferred.finalize(events)
+        buffer_reads = deferred.total_groups
+    # SFU/buffer accounting: one min-compare per candidate, one
+    # select+writeback per improved destination (the next frontier).
+    improved = int(trace.frontier_sizes[1:].sum())
     events.buffer_reads += buffer_reads
-    events.buffer_writes += buffer_writes
-    events.sfu_ops += sfu_ops
+    events.buffer_writes += improved
+    events.sfu_ops += int(trace.edges_per_step.sum()) + improved
 
     stats = engine._finalize(
         events,
         load_time,
         compute_time,
-        passes=supersteps,
+        passes=trace.supersteps,
         batches=layout.num_batches,
     )
     return TraversalResult(
-        distances=dist, source=source, supersteps=supersteps, stats=stats
+        distances=trace.values.copy(),
+        source=source,
+        supersteps=trace.supersteps,
+        stats=stats,
     )

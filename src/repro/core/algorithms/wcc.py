@@ -14,10 +14,10 @@ copy of the graph (Section IV: "the ternary CAM operation enables the
 flexibility to identify the edges corresponding to a particular source
 or destination vertex").
 
-Like traversal, the software loop is O(frontier) per superstep: each
-direction's edges come from its vertex->edges CSR index, label minima
-scatter over only those edges, and all event/latency accounting is
-deferred into one vectorized pass per direction at the end.
+The propagation itself is computed by
+:func:`repro.core.algorithms.execution.wcc` (a cold run once per graph,
+shared with the GAPBS model's workload trace); this module prices its
+frontiers with one deferred search pass per direction.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import numpy as np
 
 from ...errors import AlgorithmError
 from ...events import EventLog
-from ..engine import DeferredSearchAccounting, gather_ranges, unique_vertices
+from ..engine import DeferredSearchAccounting
 from ..stats import ComponentsResult
+from . import execution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import GaaSXEngine
@@ -50,97 +51,51 @@ def run(
     changed. With ``warm_labels=None`` every edge-touching vertex
     seeds, which is the full recompute.
     """
-    graph = engine.graph
-    n = graph.num_vertices
-    layout = engine.layout("row")
-    src_groups = layout.groups_by("src")
-    dst_groups = layout.groups_by("dst")
-    fwd_offsets, fwd_edge_of = src_groups.edge_index(n)
-    rev_offsets, rev_edge_of = dst_groups.edge_index(n)
-
-    events = EventLog()
-    # Labels ride in the MAC attribute column, like SSSP distances.
-    load_time = engine._account_load(layout, events, mac_values_per_edge=1)
-    deferred_fwd = DeferredSearchAccounting(
-        engine.config, layout, src_groups, n, cols_engaged=1
-    )
-    deferred_rev = DeferredSearchAccounting(
-        engine.config, layout, dst_groups, n, cols_engaged=1
-    )
-
-    src = layout.src
-    dst = layout.dst
+    n = engine.graph.num_vertices
     if warm_labels is None:
-        labels = np.arange(n, dtype=np.float64)
-        has_edge = np.zeros(n, dtype=bool)
-        has_edge[src] = True
-        has_edge[dst] = True
-        frontier = np.flatnonzero(has_edge)
+        trace = execution.wcc(engine.graph)
     else:
         warm_labels = np.asarray(warm_labels)
         if warm_labels.shape != (n,):
             raise AlgorithmError(
                 f"warm_labels must have one entry per vertex ({n})"
             )
-        labels = warm_labels.astype(np.float64)
-        if seed_vertices is None:
-            frontier = np.empty(0, dtype=np.int64)
-        else:
-            frontier = np.unique(
-                np.asarray(seed_vertices, dtype=np.int64)
-            )
-            if frontier.size and (
-                frontier[0] < 0 or frontier[-1] >= n
-            ):
-                raise AlgorithmError("seed vertex out of range")
-    scratch = np.zeros(n, dtype=bool)
-
-    supersteps = 0
-    buffer_writes = 0
-    sfu_ops = 0
-    while frontier.size:
-        supersteps += 1
-        deferred_fwd.add(frontier)
-        deferred_rev.add(frontier)
-        # Forward direction: out-edges of active vertices.
-        starts = fwd_offsets[frontier]
-        fwd_edges = fwd_edge_of[
-            gather_ranges(starts, fwd_offsets[frontier + 1] - starts)
-        ]
-        # Reverse direction: in-edges via a destination-field search.
-        starts = rev_offsets[frontier]
-        rev_edges = rev_edge_of[
-            gather_ranges(starts, rev_offsets[frontier + 1] - starts)
-        ]
-        sfu_ops += int(fwd_edges.size) + int(rev_edges.size)
-        # Both directions' candidates read the pre-superstep labels, so
-        # gather them before the (in-place) scatter.
-        targets = np.concatenate([dst[fwd_edges], src[rev_edges]])
-        if targets.size == 0:
-            frontier = np.empty(0, dtype=np.int64)
-            continue
-        candidates = np.concatenate(
-            [labels[src[fwd_edges]], labels[dst[rev_edges]]]
+        frontier = np.unique(np.asarray(
+            [] if seed_vertices is None else seed_vertices, dtype=np.int64
+        ))
+        if frontier.size and (frontier[0] < 0 or frontier[-1] >= n):
+            raise AlgorithmError("seed vertex out of range")
+        trace = execution.wcc(
+            engine.graph, warm_labels.astype(np.float64), frontier
         )
-        before = labels[targets]
-        np.minimum.at(labels, targets, candidates)
-        frontier = unique_vertices(
-            targets[labels[targets] < before], scratch
-        )
-        sfu_ops += int(frontier.size)
-        buffer_writes += int(frontier.size)
+    layout = engine.layout("row")
 
-    compute_time = deferred_fwd.finalize(events) + deferred_rev.finalize(
-        events
-    )
-    events.buffer_reads += deferred_fwd.total_groups + deferred_rev.total_groups
-    events.buffer_writes += buffer_writes
-    events.sfu_ops += sfu_ops
+    events = EventLog()
+    # Labels ride in the MAC attribute column, like SSSP distances.
+    load_time = engine._account_load(layout, events, mac_values_per_edge=1)
+    # Out-edges by a source-field search, in-edges by a destination one.
+    searches = [
+        DeferredSearchAccounting(
+            engine.config, layout, layout.groups_by(field), n, cols_engaged=1
+        )
+        for field in ("src", "dst")
+    ]
+    for deferred in searches:
+        deferred.add(*trace.frontiers)
+    compute_time = searches[0].finalize(events) + searches[1].finalize(events)
+    # One min-compare per candidate, one select+writeback per improved
+    # vertex (the next frontier).
+    improved = int(trace.frontier_sizes[1:].sum())
+    events.buffer_reads += searches[0].total_groups + searches[1].total_groups
+    events.buffer_writes += improved
+    events.sfu_ops += int(trace.edges_per_step.sum()) + improved
 
     stats = engine._finalize(
         events, load_time, compute_time,
-        passes=supersteps, batches=layout.num_batches,
+        passes=trace.supersteps, batches=layout.num_batches,
     )
     return ComponentsResult(
-        labels=labels.astype(np.int64), supersteps=supersteps, stats=stats
+        labels=trace.values.astype(np.int64),
+        supersteps=trace.supersteps,
+        stats=stats,
     )

@@ -180,10 +180,9 @@ class DeferredSearchAccounting:
         #: CAM searches accounted by :meth:`finalize` (0 until then).
         self.total_groups = 0
 
-    def add(self, frontier: np.ndarray) -> None:
-        """Record one superstep's frontier (unique vertex ids)."""
-        if frontier.size:
-            self._frontiers.append(frontier)
+    def add(self, *frontiers: np.ndarray) -> None:
+        """Record supersteps' frontiers (unique vertex ids), in order."""
+        self._frontiers.extend(f for f in frontiers if f.size)
 
     def finalize(self, events: EventLog) -> float:
         """Apply all deferred events to ``events``; return the summed
@@ -417,7 +416,6 @@ class GaaSXEngine:
         layout: CrossbarLayout,
         groups: GroupIndex,
         events: EventLog,
-        group_mask: Optional[np.ndarray] = None,
         cols_engaged: int = 1,
         mac_segments: int = 1,
         group_ids: Optional[np.ndarray] = None,
@@ -431,24 +429,20 @@ class GaaSXEngine:
         segments (feature vectors wider than one array, Section IV's
         collaborative filtering).
 
-        Selection is either a boolean ``group_mask`` over all groups
-        (full-pass kernels) or a compact *sorted* ``group_ids`` array
-        (frontier-driven kernels, from
-        :meth:`~repro.core.loader.GroupIndex.groups_of`). The compact
-        path touches only the selected groups' crossbars — cost
-        O(selected groups), not O(all crossbars) — and charges exactly
-        the same events and latency as the mask path would.
+        Every group is searched (full-pass kernels) unless a compact
+        *sorted* ``group_ids`` array selects some (frontier-driven
+        kernels, from :meth:`~repro.core.loader.GroupIndex.groups_of`).
+        The compact path touches only the selected groups' crossbars —
+        cost O(selected groups), not O(all crossbars) — and charges
+        exactly the events and latency a full pass over them would.
         """
         compact = group_ids is not None
         if compact:
             xbar = groups.xbar[group_ids]
             hits = groups.count[group_ids]
-        elif group_mask is None:
+        else:
             xbar = groups.xbar
             hits = groups.count
-        else:
-            xbar = groups.xbar[group_mask]
-            hits = groups.count[group_mask]
         if xbar.size == 0:
             return 0.0
         limit = self.config.mac_accumulate_limit
@@ -502,21 +496,6 @@ class GaaSXEngine:
             batch_time, layout.batch_of_xbar(touched), xbar_time
         )
         return float(batch_time.sum())
-
-    def _active_xbar_mask(
-        self,
-        layout: CrossbarLayout,
-        groups: GroupIndex,
-        group_mask: Optional[np.ndarray] = None,
-        group_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Crossbars containing at least one selected group."""
-        mask = np.zeros(layout.num_xbars, dtype=bool)
-        if group_ids is not None:
-            mask[groups.xbar[group_ids]] = True
-        else:
-            mask[groups.xbar[group_mask]] = True
-        return mask
 
     def _finalize(
         self,

@@ -22,12 +22,17 @@ layer that exploits that recurrence:
   the micro engine keeps one ``"layout"`` entry per layout and field
   (every crossbar's distinct searched ids and their packed keys), so
   content-identical graphs never re-encode their searched vertex sets.
+* **Functional traces** — per ``(graph fingerprint, "execution",
+  kernel and params)`` one algorithm's platform-independent result
+  (:mod:`repro.core.algorithms.execution`): GaaS-X, GraphR and the
+  CPU/GPU workload models all price the one stored trace.
 * **Invalidation** — content tokens embed the graph fingerprint, so a
   mutated graph can never read a stale entry. Every entry is
   layout-wide (the micro engine's ``"gang"``/``"layout"`` units, the
-  engine's ``"pagerank-pass"``/``"delta"`` ones), so a mutation simply
-  drops the old token's namespace (:meth:`ReuseCache.invalidate`) and
-  counts each dropped entry as an invalidation.
+  engine's ``"pagerank-pass"``/``"delta"`` ones; traces live under the
+  bare graph fingerprint), so a mutation simply drops the old tokens'
+  namespaces (:meth:`ReuseCache.invalidate`) and counts each dropped
+  entry as an invalidation.
 
 Counters ``reuse.hits`` / ``reuse.misses`` / ``reuse.invalidations``
 are mirrored into the process metrics registry (and therefore the
@@ -330,30 +335,28 @@ class ReuseCache:
         Returns the number of dropped entries; each is counted as one
         ``reuse.invalidations``.
         """
-        dropped = 0
         with self._lock:
-            for store in (self._entries, self._packed):
-                doomed = [
-                    key for key in store
-                    if token is None or key[0] == token
-                ]
-                for key in doomed:
-                    value = store.pop(key)
-                    if store is self._entries:
-                        self._bytes -= _value_bytes(value)
-                    dropped += 1
+            dropped = self._drop_locked(0, token)
             self.invalidations += dropped
         if dropped:
             get_metrics().counter("reuse.invalidations").inc(dropped)
         return dropped
 
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every entry without counting invalidations (tests)."""
+    def clear(self, unit=None) -> None:
+        """Drop every entry (``unit=None``) or one unit's without
+        counting invalidations (tests, benchmark hygiene)."""
         with self._lock:
-            self._entries.clear()
-            self._packed.clear()
-            self._bytes = 0
+            self._drop_locked(1, unit)
+
+    def _drop_locked(self, part: int, match) -> int:
+        dropped = 0
+        for store in (self._entries, self._packed):
+            for key in [k for k in store if match in (None, k[part])]:
+                if store is self._entries:
+                    self._bytes -= _value_bytes(store[key])
+                del store[key]
+                dropped += 1
+        return dropped
 
     @property
     def hit_rate(self) -> float:

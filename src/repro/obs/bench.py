@@ -740,15 +740,23 @@ def run_workload(
     ``warmup`` untimed runs precede the measured ones so one-time costs
     (lazy imports, in-process cache fills) do not pollute the median.
     Metrics are collected from the final timed payload.
+
+    The functional-execution memo is cleared before every run: a
+    workload that repeats one kernel query would otherwise time the
+    execution once and pricing alone on every later run.
     """
+    from ..core.algorithms.execution import clear_memo
+
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     state = workload.setup(profile)
     for _ in range(max(warmup, 0)):
+        clear_memo()
         workload.run(state)
     runs: List[float] = []
     payload = None
     for _ in range(repeats):
+        clear_memo()
         start = time.perf_counter()
         payload = workload.run(state)
         runs.append(time.perf_counter() - start)

@@ -34,6 +34,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.algorithms.execution import clear_memo
 from ..obs.metrics import MetricsRegistry
 from .protocol import MutateRequest, QueryRequest
 from .server import AnalyticsService
@@ -111,6 +112,9 @@ class ServeBench:
                     }.values()
                 )
             )
+            # The warm-up's traces would let the burst's re-issued
+            # queries price a stored execution instead of running it.
+            clear_memo()
             warm_runs = service.stats()["engine_runs"]
             results = await asyncio.gather(
                 *(service.submit(query) for query in burst)

@@ -127,12 +127,12 @@ class WarmSession:
         graph (:meth:`~repro.graphs.graph.Graph.with_edges`), derive
         its shard grid incrementally from the old one and seed the
         in-process layout cache with it, invalidate the old graph's
-        reuse entries (every one is layout-wide, so none survives a
-        mutation), then rebuild the engine and re-warm both streaming
-        orders. Warm algorithm state survives where it is still sound:
-        previous PageRank ranks stay as a warm start (they seed
-        residuals, not truth), previous WCC labels become a
-        ``(labels, seed)`` warm state via
+        reuse entries (every one is layout-wide or a functional trace
+        of the whole graph, so none survives a mutation), then rebuild
+        the engine and re-warm both streaming orders. Warm algorithm
+        state survives where it is still sound: previous PageRank ranks
+        stay as a warm start (they seed residuals, not truth), previous
+        WCC labels become a ``(labels, seed)`` warm state via
         :func:`~repro.core.algorithms.incremental.wcc_warm_state`.
 
         The caller (the service) serializes this against kernel runs
@@ -153,14 +153,11 @@ class WarmSession:
         new_graph = old_graph.with_edges(inserts=ins, deletes=dels)
         new_grid = mutate_grid(old_grid, new_graph, inserts=ins, deletes=dels)
         get_cache().seed_grid(new_graph, engine.interval_size, new_grid)
-        invalidated = sum(
-            get_reuse_cache().invalidate(
-                layout_token(
-                    old_graph, engine.interval_size, order, engine.config
-                )
-            )
-            for order in WARM_ORDERS
-        )
+        tokens = [graph_fingerprint(old_graph)] + [  # traces, layouts
+            layout_token(old_graph, engine.interval_size, o, engine.config)
+            for o in WARM_ORDERS
+        ]
+        invalidated = sum(map(get_reuse_cache().invalidate, tokens))
         self.engine = GaaSXEngine(
             new_graph, config=self.config,
             interval_size=engine.interval_size,

@@ -96,3 +96,38 @@ class TestGroups:
             for x, v, c in zip(groups.xbar, groups.vertex, groups.count)
         }
         assert ours == brute
+
+    @pytest.mark.parametrize("order", ["row", "col"])
+    @pytest.mark.parametrize("field", ["src", "dst"])
+    def test_composite_sort_equals_lexsort(
+        self, medium_rmat, tiny_config, order, field
+    ):
+        layout = build_layout(partition_graph(medium_rmat, 64), order,
+                              tiny_config)
+        keys = layout.src if field == "src" else layout.dst
+        expected = np.lexsort((keys, layout.xbar_of_edge))
+        assert np.array_equal(layout.groups_by(field).edge_perm, expected)
+
+    def test_composite_sort_of_empty_layout(self, tiny_config):
+        from repro.graphs import Graph
+
+        g = Graph.from_edge_list([], num_vertices=10)
+        layout = build_layout(partition_graph(g, 4), "col", tiny_config)
+        for field in ("src", "dst"):
+            assert layout.groups_by(field).edge_perm.size == 0
+
+    def test_composite_overflow_falls_back_to_lexsort(self, tiny_config):
+        from repro.core.loader import CrossbarLayout
+
+        huge = np.int64(2**62)
+        src = np.array([huge + 1, 3, huge, 3, 0], dtype=np.int64)
+        layout = CrossbarLayout(
+            config=tiny_config, order="row", src=src, dst=src.copy(),
+            weight=np.ones(5), num_xbars=2,
+            xbar_of_edge=np.array([1, 1, 0, 0, 1], dtype=np.int64),
+        )
+        groups = layout.groups_by("src")
+        assert np.array_equal(
+            groups.edge_perm, np.lexsort((src, layout.xbar_of_edge))
+        )
+        assert groups.vertex.tolist() == [3, int(huge), 0, 3, int(huge) + 1]

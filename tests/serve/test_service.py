@@ -516,3 +516,39 @@ class TestRequestObservability:
             service.close()
         assert stats["slo"]["windows"]["1m"]["total"] == 1
         assert stats["flight"]["kept"] == 1
+
+
+class TestServeBench:
+    def test_burst_executes_every_distinct_query(self, monkeypatch):
+        """The warm-up's traces are dropped before the measured burst,
+        so each distinct burst query runs its functional execution
+        instead of pricing the warm-up's stored one."""
+        import threading
+
+        from repro.core.algorithms import execution
+        from repro.core.reuse import ReuseCache, reset_reuse_cache
+        from repro.serve.bench import ServeBench
+
+        computed = []
+        lock = threading.Lock()
+        lookup = ReuseCache.lookup
+
+        def spy(self, token, unit, fingerprint):
+            value = lookup(self, token, unit, fingerprint)
+            if unit == execution.UNIT and value is None:
+                with lock:
+                    computed.append(fingerprint)
+            return value
+
+        monkeypatch.setattr(ReuseCache, "lookup", spy)
+        reset_reuse_cache()
+        try:
+            bench = ServeBench()
+            metrics = bench.run()
+        finally:
+            reset_reuse_cache()
+        burst = bench.queries()
+        warm_up = {q.session_selector: q for q in burst}
+        distinct = {(q.dataset, q.algorithm, repr(q.params)) for q in burst}
+        assert metrics["serve.engine_runs"] == len(distinct)
+        assert len(computed) == len(warm_up) + len(distinct)
